@@ -39,10 +39,9 @@ chaos:
 	$(GO) test -race -count=1 ./internal/membership/...
 	$(GO) test -race -count=1 -run 'Membership|Churn|Crash|Drain|NoUpBackends|StartTolerates|StartFails' ./internal/dispatch/... ./internal/policy/... ./internal/sim/... ./internal/scenario/... ./internal/cluster/...
 
-# Run every builtin scenario for one grid point through the -scenario
-# path: validation failures, registry drift and (for the figure
-# scenarios) compile drift against the legacy flag path all fail here.
-# CI runs the same loop on each push.
+# Run every builtin scenario through -smoke: each grid point is
+# validated, then the first point runs on a small workload, so schema or
+# registry drift fails here. CI runs the same loop on each push.
 scenarios-smoke:
 	@set -e; for s in $$($(GO) run ./cmd/phttp-sim -list-scenarios | awk '{print $$1}'); do \
 		echo "== scenario $$s"; \
@@ -56,7 +55,7 @@ scenarios-smoke:
 trace-cache:
 	$(GO) run ./cmd/phttp-tracegen -cache .trace-cache
 
-# Performance trajectory: the simulator's reference ClusterSweep (written
+# Performance trajectory: the simulator's reference Figure 7 sweep (written
 # to BENCH_sim.json: ns/event, allocs/event, events/sec, wall-clock, and
 # speedup vs the recorded baseline), plus the dispatch microbenchmark
 # against its serialized baseline.

@@ -52,15 +52,21 @@ func benchTrace() *trace.Trace {
 // --- Figure 3: single back-end delay/throughput vs offered load ---
 
 func BenchmarkFig3DelayCurve(b *testing.B) {
-	tr := benchTrace()
+	wl := trace.NewWorkload(benchTrace())
+	var cfgs []sim.Config
+	for _, l := range []int{1, 16, 64} {
+		cfg := sim.DefaultConfig(1, sim.Combo{Name: "single-node", Policy: "wrr", Mechanism: core.SingleHandoff, PHTTP: true})
+		cfg.ConnsPerNode = l
+		cfgs = append(cfgs, cfg)
+	}
 	for i := 0; i < b.N; i++ {
-		thr, delay, err := sim.DelaySweep(core.Apache, []int{1, 16, 64}, tr)
+		results, err := sim.RunGrid(cfgs, wl, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := len(thr.Points) - 1
-		b.ReportMetric(thr.Points[last].Y, "req/s@64conns")
-		b.ReportMetric(delay.Points[last].Y, "ms@64conns")
+		last := results[len(results)-1]
+		b.ReportMetric(last.Throughput, "req/s@64conns")
+		b.ReportMetric(float64(last.MeanDelay)/float64(core.Millisecond), "ms@64conns")
 	}
 }
 
@@ -275,24 +281,6 @@ func BenchmarkHTTPRequestParse(b *testing.B) {
 }
 
 var benchReader *bufio.Reader
-
-// BenchmarkEventEngine exercises the legacy closure path (After/func()):
-// the closure itself is the only allocation left.
-func BenchmarkEventEngine(b *testing.B) {
-	e := simcore.NewEngine()
-	var fn func()
-	n := 0
-	fn = func() {
-		n++
-		if n < b.N {
-			e.After(1, fn)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.After(1, fn)
-	e.Run(0)
-}
 
 // engineChain is the typed-callback payload of BenchmarkEventEngineTyped.
 type engineChain struct {

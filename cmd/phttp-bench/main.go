@@ -12,7 +12,7 @@
 // comparable to the paper's 300 MHz-era hardware.
 //
 // -sim-bench skips the prototype and instead measures the trace-driven
-// simulator's reference ClusterSweep (serial and parallel), writing the
+// simulator's reference Figure 7 sweep (serial and parallel), writing the
 // ns/event, allocs/event, events/sec and wall-clock trajectory to the named
 // JSON file alongside the recorded pre-optimization baseline (see DESIGN.md
 // §10 for the methodology).
@@ -35,7 +35,7 @@ import (
 	"phttp/internal/trace"
 )
 
-// simBaseline is the reference ClusterSweep measured at the pre-optimization
+// simBaseline is the reference sweep measured at the pre-optimization
 // commit ("PR 1" head: container/heap of *Event closures, string-keyed
 // caches, serial sweeps) on the same reference configuration
 // (sim.DefaultBenchConfig). Events is left 0 — the old engine did not count
@@ -151,18 +151,18 @@ func runLatencyGate(path string, record bool, cacheDir string) {
 	tcfg := trace.DefaultSynthConfig()
 	tcfg.Seed = cfg.Seed
 	tcfg.Connections = cfg.Connections
-	var tr *trace.Trace
+	var wl *trace.Workload
 	if cacheDir != "" {
-		wl, hit, err := trace.LoadOrGenerate(cacheDir, tcfg)
+		w, hit, err := trace.LoadOrGenerate(cacheDir, tcfg)
 		if err != nil {
 			fatalf("latency-gate: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "latency-gate: trace cache %s: hit=%v\n", cacheDir, hit)
-		tr = wl.PHTTP
+		wl = w
 	} else {
-		tr = trace.NewSynth(tcfg).GenerateParallel(0)
+		wl = trace.NewWorkload(trace.NewSynth(tcfg).GenerateParallel(0))
 	}
-	_, results, err := sim.ClusterSweepParallel(cfg.Server, cfg.Nodes, sim.Combos(), tr, 0)
+	_, results, err := sim.ClusterSweepWorkload(cfg.Server, cfg.Nodes, sim.Combos(), wl, 0)
 	if err != nil {
 		fatalf("latency-gate: %v", err)
 	}
@@ -186,7 +186,7 @@ func runLatencyGate(path string, record bool, cacheDir string) {
 			r.Combo, float64(r.Latency.P99)/float64(core.Millisecond), b.P99Ms[r.Combo])
 	}
 	if runtime.GOMAXPROCS(0) > 1 {
-		_, serial, err := sim.ClusterSweepParallel(cfg.Server, cfg.Nodes, sim.Combos(), tr, 1)
+		_, serial, err := sim.ClusterSweepWorkload(cfg.Server, cfg.Nodes, sim.Combos(), wl, 1)
 		if err != nil {
 			fatalf("latency-gate: serial cross-check: %v", err)
 		}
@@ -237,7 +237,7 @@ func main() {
 		clients  = flag.Int("clients", 0, "concurrent clients (0 = 32 per node)")
 		cacheMB  = flag.Int64("cache-mb", cluster.PrototypeCacheBytes>>20, "per-node cache (MB); scale it with -connections so the touched working set stays ~5x one cache")
 		only     = flag.String("only", "", "run only the named combination (e.g. BEforward-extLARD-PHTTP)")
-		simBench = flag.String("sim-bench", "", "measure the simulator's reference ClusterSweep and write the perf trajectory to this JSON file (skips the prototype benchmark)")
+		simBench = flag.String("sim-bench", "", "measure the simulator's reference sweep and write the perf trajectory to this JSON file (skips the prototype benchmark)")
 		cacheDir = flag.String("trace-cache", "", "trace cache directory: load the benchmark workload from disk, generating and persisting on miss")
 		scenFlag = flag.String("scenario", "", "benchmark the prototype for a declarative scenario (builtin name or JSON file): policy, options, mechanism, workload and node axis come from the spec")
 		latGate  = flag.String("latency-gate", "", "run the deterministic latency gate sweep and fail (exit 1) if any combo's p99 exceeds the recorded baseline in this JSON file (skips the prototype benchmark)")
@@ -323,8 +323,8 @@ func runScenarioBench(arg string, scale float64, clients int) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if _, _, isCombos, _ := spec.CombosSweep(); isCombos {
-		fatalf("scenario %q sweeps legacy combos; the prototype benchmark needs a policy scenario (run it with -fig style combos via the flag path)", arg)
+	if spec.Sweep != nil && len(spec.Sweep.Combos) > 0 {
+		fatalf("scenario %q sweeps simulator combos; the prototype benchmark needs a policy scenario (run combos sweeps with phttp-sim)", arg)
 	}
 	// An explicitly passed -time-scale wins over the scenario's value; the
 	// scenario wins over the flag's default.

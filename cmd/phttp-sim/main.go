@@ -1,55 +1,47 @@
-// phttp-sim runs the trace-driven cluster simulator and regenerates the
-// paper's simulation figures:
+// phttp-sim runs the trace-driven cluster simulator. Every run is a
+// declarative scenario (see DESIGN.md §13) compiled to a grid of simulator
+// configurations and run on one grid runner:
 //
-//	phttp-sim -fig 7                  # Apache throughput vs cluster size
-//	phttp-sim -fig 8                  # Flash throughput vs cluster size
-//	phttp-sim -fig 3                  # single-node delay/throughput curve
-//	phttp-sim -combo BEforward-extLARD-PHTTP -nodes 4
-//
-// Experiments can also be described declaratively (see DESIGN.md §13):
-//
-//	phttp-sim -scenario fig7          # builtin scenario, same output as -fig 7
-//	phttp-sim -scenario p2c           # open-registry policy across cluster sizes
+//	phttp-sim -scenario fig7          # builtin scenario: Apache throughput vs cluster size
 //	phttp-sim -scenario myexp.json    # scenario file
 //	phttp-sim -list-scenarios         # builtin scenario names
+//	phttp-sim -fig 8                  # shorthand for -scenario fig8 (3, 7 or 8)
+//	phttp-sim -combo BEforward-extLARD-PHTTP -nodes 4   # one-point scenario
 //
-// Output is a tab-separated table, one series per figure curve.
+// -connections, -seed, -server and -trace-cache, when given, override the
+// scenario's workload and server model. Output is a tab-separated table,
+// one series per figure curve, or one result line for a one-point
+// scenario.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strings"
-	"sync"
 
 	"phttp/internal/core"
-	"phttp/internal/dstate"
 	"phttp/internal/metrics"
 	"phttp/internal/scenario"
-	"phttp/internal/server"
 	"phttp/internal/sim"
 	"phttp/internal/trace"
 )
 
 func main() {
 	var (
-		fig       = flag.Int("fig", 0, "figure to regenerate: 3, 7 or 8 (0 = single run)")
+		fig       = flag.Int("fig", 0, "figure to regenerate: 3, 7 or 8, shorthand for -scenario figN (0 = single run)")
 		combo     = flag.String("combo", "BEforward-extLARD-PHTTP", "policy/mechanism combination for a single run (see -list)")
 		nodes     = flag.Int("nodes", 4, "cluster size for a single run")
-		maxNodes  = flag.Int("max-nodes", 10, "largest cluster size in figure sweeps")
-		srv       = flag.String("server", "", "server model: apache or flash (overrides the figure default)")
-		conns     = flag.Int("connections", 0, "trace connections (0 = generator default)")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		verbose   = flag.Bool("v", false, "print per-run details (hit rate, utilizations)")
+		srv       = flag.String("server", "", "server model: apache or flash (overrides the scenario's)")
+		conns     = flag.Int("connections", 0, "trace connections (overrides the scenario's; 0 = generator default)")
+		seed      = flag.Uint64("seed", 1, "workload seed (overrides the scenario's)")
+		verbose   = flag.Bool("v", false, "print per-run details (hit rate, utilizations) to stderr")
 		list      = flag.Bool("list", false, "list the available policy/mechanism combinations and exit")
-		plot      = flag.Bool("plot", false, "append an ASCII rendering of the figure")
-		workers   = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial); output is identical either way")
+		plot      = flag.Bool("plot", false, "append an ASCII rendering of a cluster-size figure")
+		workers   = flag.Int("workers", 0, "parallel grid workers (0 = GOMAXPROCS, 1 = serial); output is identical either way")
 		cacheDir  = flag.String("trace-cache", "", "trace cache directory: load the workload (P-HTTP and flattened forms) from disk, generating and persisting on miss")
 		scenFlag  = flag.String("scenario", "", "run a declarative scenario: a builtin name (see -list-scenarios) or a JSON file")
 		scenList  = flag.Bool("list-scenarios", false, "list the builtin scenarios and exit")
-		scenSmoke = flag.Bool("smoke", false, "with -scenario: verify the scenario (builtins are checked against the legacy path for compile drift), then run only its first grid point on a small workload")
+		scenSmoke = flag.Bool("smoke", false, "validate every grid point of the scenario, then run only its first grid point on a small workload")
 		fes       = flag.Int("frontends", 1, "single runs: scale-out front-end tier size (1 = the paper's single front-end)")
 		feState   = flag.String("state", "local", "single runs: dispatch-state backend for the tier (local, sharded, replicated)")
 		staleness = flag.Duration("staleness", 0, "single runs: replicated-state sync interval in simulated time (0 = never sync; requires -state replicated)")
@@ -57,8 +49,6 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		// The one canonical combo listing: everything ComboByName accepts
-		// is printed here, nothing hidden.
 		for _, name := range sim.ComboNames() {
 			fmt.Println(name)
 		}
@@ -74,127 +64,70 @@ func main() {
 		}
 		return
 	}
-	if *scenFlag != "" {
-		runScenario(*scenFlag, *scenSmoke, *workers, *cacheDir, *plot, *verbose)
-		return
-	}
 
-	cfg := trace.DefaultSynthConfig()
-	cfg.Seed = *seed
-	if *conns > 0 {
-		cfg.Connections = *conns
-	}
-	var wl *trace.Workload
-	if *cacheDir != "" {
-		w, hit, err := trace.LoadOrGenerate(*cacheDir, cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "workload (%d connections, seed %d): cache %s\n",
-			cfg.Connections, cfg.Seed, map[bool]string{true: "hit", false: "miss (generated and persisted)"}[hit])
-		wl = w
-	} else {
-		fmt.Fprintf(os.Stderr, "generating workload (%d connections, seed %d)...\n", cfg.Connections, cfg.Seed)
-		wl = trace.NewWorkload(trace.NewSynth(cfg).Generate())
-	}
-	tr := wl.PHTTP
-	fmt.Fprint(os.Stderr, trace.ComputeStats(tr))
-
-	kind := core.Apache
-	switch *fig {
-	case 8:
-		kind = core.Flash
-	}
-	if *srv != "" {
-		switch strings.ToLower(*srv) {
-		case "apache":
-			kind = core.Apache
-		case "flash":
-			kind = core.Flash
-		default:
-			fatalf("unknown -server %q (want apache or flash)", *srv)
-		}
-	}
-
-	switch *fig {
-	case 0:
-		c, err := sim.ComboByName(*combo)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		rc := sim.DefaultConfig(*nodes, c)
-		rc.Server = server.CostsFor(kind)
-		mode, err := dstate.ParseMode(*feState)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		rc.Frontends = *fes
-		rc.FEState = mode
-		rc.Staleness = core.Micros(staleness.Microseconds())
-		res, err := sim.Run(rc, tr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Println(res)
-	case 3:
-		loads := []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256}
-		results, err := sim.DelaySweepResults(kind, loads, tr, *workers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("# Figure 3 (%s): single back-end throughput and delay vs offered load\n", kind)
-		fmt.Print(metrics.Table("load(conns)", loadsSeries(loads, results)...))
-	case 7, 8:
-		ns := make([]int, 0, *maxNodes)
-		for n := 1; n <= *maxNodes; n++ {
-			ns = append(ns, n)
-		}
-		series, results, err := sim.ClusterSweepWorkload(kind, ns, sim.Combos(), wl, *workers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("# Figure %d (%s): cluster throughput (req/s) vs nodes\n", *fig, kind)
-		fmt.Print(metrics.Table("nodes", series...))
-		if *plot {
-			fmt.Println()
-			fmt.Print(metrics.Plot(60, 16, series...))
-		}
-		if *verbose {
-			fmt.Println()
-			for _, r := range results {
-				fmt.Println(r)
-			}
+	var spec *scenario.Spec
+	var err error
+	switch {
+	case *scenFlag != "" && *fig != 0:
+		fatalf("-fig %d is shorthand for -scenario fig%d; give one of them", *fig, *fig)
+	case *scenFlag != "":
+		spec, err = scenario.LoadOrBuiltin(*scenFlag)
+	case *fig != 0:
+		if spec, err = scenario.Builtin(fmt.Sprintf("fig%d", *fig)); err != nil {
+			fatalf("unknown -fig %d (want 3, 7 or 8)", *fig)
 		}
 	default:
-		fatalf("unknown -fig %d (want 3, 7 or 8)", *fig)
+		spec = &scenario.Spec{
+			Version: scenario.SpecVersion,
+			Name:    *combo,
+			Cluster: scenario.ClusterSpec{
+				Frontends:   *fes,
+				State:       *feState,
+				StalenessMs: float64(staleness.Microseconds()) / 1000,
+			},
+			Sweep: &scenario.SweepSpec{Nodes: []int{*nodes}, Combos: []string{*combo}},
+		}
 	}
-}
-
-// runScenario executes a declarative scenario end to end: resolve, verify
-// (smoke), load the workload, and run whichever grid shape the spec
-// defines.
-func runScenario(arg string, smoke bool, workers int, cacheDir string, plot, verbose bool) {
-	spec, err := scenario.LoadOrBuiltin(arg)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if smoke {
-		// Actual builtins are additionally held to the legacy flag path:
-		// any compile drift fails the run before anything executes. The
-		// gate is the argument's resolution, not the spec's name field —
-		// a user file calling itself "fig7" gets no false verification.
-		if scenario.IsBuiltin(arg) {
-			if err := scenario.VerifyBuiltin(arg); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Fprintf(os.Stderr, "scenario %s: verified against the legacy path\n", spec.Name)
+	if *scenSmoke {
+		if err := validateGrid(spec); err != nil {
+			fatalf("%v", err)
 		}
 		shrinkForSmoke(spec)
 	}
-	if cacheDir != "" && spec.Workload.TraceCache == "" && spec.Workload.TraceFile == "" {
-		spec.Workload.TraceCache = cacheDir
+
+	// Explicitly set flags override the spec; unset ones leave it alone.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["connections"] && *conns > 0 {
+		synth(spec).Connections = *conns
+	}
+	if set["seed"] {
+		synth(spec).Seed = *seed
+	}
+	if set["server"] {
+		spec.Server.Model = *srv
+	}
+	if *cacheDir != "" {
+		spec.Workload.TraceCache = *cacheDir
 	}
 
+	runScenario(spec, *workers, *plot, *verbose, *scenSmoke)
+}
+
+// runScenario compiles the spec to its simulator grid, runs the grid, and
+// prints whichever table the grid's shape calls for.
+func runScenario(spec *scenario.Spec, workers int, plot, verbose, smoke bool) {
+	points, err := spec.ToSimGrid()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	kind, err := spec.ServerKind()
+	if err != nil {
+		fatalf("%v", err)
+	}
 	wl, hit, err := spec.LoadWorkload()
 	if err != nil {
 		fatalf("%v", err)
@@ -204,43 +137,12 @@ func runScenario(arg string, smoke bool, workers int, cacheDir string, plot, ver
 			map[bool]string{true: "hit", false: "miss (generated and persisted)"}[hit])
 	}
 	fmt.Fprint(os.Stderr, trace.ComputeStats(wl.PHTTP))
-	kind, err := spec.ServerKind()
-	if err != nil {
-		fatalf("%v", err)
-	}
 
-	// A combos sweep with no cluster overrides reuses the parallel sweep
-	// driver, so its output is byte-identical to the corresponding -fig
-	// run. Combos sweeps that override cluster knobs (cacheMB, conns per
-	// node, ...) fall through to the generic grid runner below, which
-	// compiles through ToSimGrid and therefore honors every override.
-	combos, ns, isCombos, err := spec.CombosSweep()
-	if err != nil {
-		fatalf("%v", err)
+	cfgs := make([]sim.Config, len(points))
+	for i, p := range points {
+		cfgs[i] = p.Config
 	}
-	// An SLO gate needs configs compiled through ToSimGrid (which sets
-	// sim.Config.SLOTarget) and a verdict pass afterwards, so SLO-gated
-	// combos scenarios use the generic grid runner below.
-	if isCombos && !hasSimOverrides(spec) && spec.SLO == nil {
-		series, results, err := sim.ClusterSweepWorkload(kind, ns, combos, wl, workers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		printNodesTable(spec.Name, kind, series, plot)
-		if verbose {
-			fmt.Println()
-			for _, r := range results {
-				fmt.Println(r)
-			}
-		}
-		return
-	}
-
-	points, err := spec.ToSimGrid()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	results, err := runGrid(points, wl, workers)
+	results, err := sim.RunGrid(cfgs, wl, workers)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -250,30 +152,30 @@ func runScenario(arg string, smoke bool, workers int, cacheDir string, plot, ver
 		}
 	}
 	if _, isLoads := spec.LoadsSweep(); isLoads {
-		xs := make([]float64, len(points))
-		loads := make([]int, len(points))
-		for i, p := range points {
-			xs[i], loads[i] = p.X, int(p.X)
-		}
 		fmt.Printf("# Scenario %s (%s): throughput and delay vs offered load\n", spec.Name, kind)
-		fmt.Print(metrics.Table("load(conns)", loadsSeries(loads, results)...))
+		fmt.Print(metrics.Table("load(conns)", loadsSeries(points, results)...))
 	} else if len(points) == 1 {
 		fmt.Println(results[0])
 	} else {
-		printNodesTable(spec.Name, kind, groupSeries(points, results), plot)
+		series := groupSeries(points, results)
+		fmt.Printf("# Scenario %s (%s): cluster throughput (req/s) vs nodes\n", spec.Name, kind)
+		fmt.Print(metrics.Table("nodes", series...))
+		if plot {
+			fmt.Println()
+			fmt.Print(metrics.Plot(60, 16, series...))
+		}
 	}
 	gateSLO(spec, points, results, smoke)
 }
 
 // loadsSeries builds the offered-load table columns: throughput, mean
-// delay, and the tail-quantile columns this delay figure historically
-// lacked.
-func loadsSeries(loads []int, results []sim.Result) []*metrics.Series {
+// delay, and the tail-quantile columns.
+func loadsSeries(points []scenario.SimPoint, results []sim.Result) []*metrics.Series {
 	thr := &metrics.Series{Name: "throughput(req/s)"}
 	delay := &metrics.Series{Name: "delay(ms)"}
-	xs := make([]float64, len(loads))
-	for i, l := range loads {
-		xs[i] = float64(l)
+	xs := make([]float64, len(points))
+	for i, p := range points {
+		xs[i] = p.X
 		thr.Add(xs[i], results[i].Throughput)
 		delay.Add(xs[i], float64(results[i].MeanDelay)/float64(core.Millisecond))
 	}
@@ -303,83 +205,6 @@ func gateSLO(spec *scenario.Spec, points []scenario.SimPoint, results []sim.Resu
 	fmt.Printf("# SLO gate: PASS (%d points)\n", len(verdicts))
 }
 
-// hasSimOverrides reports whether the scenario changes any simulator
-// cluster knob away from the calibrated defaults.
-func hasSimOverrides(spec *scenario.Spec) bool {
-	c := spec.Cluster
-	return c.ConnsPerNode > 0 || c.CacheMB > 0 || c.WarmupFrac != nil || c.FESpeedup > 0
-}
-
-// runGrid executes grid points across workers (0 = GOMAXPROCS, 1 =
-// serial), filling results by point index so output order — and, because
-// each run is deterministic in isolation, every value — is independent of
-// the worker count. The workload is shared read-only, as in the sweep
-// drivers.
-func runGrid(points []scenario.SimPoint, wl *trace.Workload, workers int) ([]sim.Result, error) {
-	tr := wl.PHTTP
-	if tr.Interner == nil {
-		tr.EnsureIDs()
-	}
-	// Flatten once (memoized on the workload, like the sweep drivers do)
-	// rather than per HTTP/1.0 grid point inside sim.Run.
-	var flat *trace.Trace
-	for _, p := range points {
-		if !p.Config.Combo.PHTTP {
-			flat = wl.Flatten()
-			if flat.Interner == nil {
-				flat.EnsureIDs()
-			}
-			break
-		}
-	}
-	workloadFor := func(p scenario.SimPoint) *trace.Trace {
-		if p.Config.Combo.PHTTP {
-			return tr
-		}
-		return flat
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	results := make([]sim.Result, len(points))
-	errs := make([]error, len(points))
-	if workers <= 1 {
-		for i, p := range points {
-			res, err := sim.RunPrepared(p.Config, workloadFor(p))
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = sim.RunPrepared(points[i].Config, workloadFor(points[i]))
-			}
-		}()
-	}
-	for i := range points {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
 // groupSeries folds grid results into one series per label, in first-seen
 // order.
 func groupSeries(points []scenario.SimPoint, results []sim.Result) []*metrics.Series {
@@ -397,28 +222,31 @@ func groupSeries(points []scenario.SimPoint, results []sim.Result) []*metrics.Se
 	return series
 }
 
-func printNodesTable(name string, kind core.ServerKind, series []*metrics.Series, plot bool) {
-	fmt.Printf("# Scenario %s (%s): cluster throughput (req/s) vs nodes\n", name, kind)
-	fmt.Print(metrics.Table("nodes", series...))
-	if plot {
-		fmt.Println()
-		fmt.Print(metrics.Plot(60, 16, series...))
+// validateGrid compiles the full grid and validates every point, so a
+// smoke run that executes only the first point still rejects a scenario
+// whose later points could not run.
+func validateGrid(spec *scenario.Spec) error {
+	points, err := spec.ToSimGrid()
+	if err != nil {
+		return err
 	}
+	for _, p := range points {
+		if err := p.Config.Validate(); err != nil {
+			return fmt.Errorf("scenario %s point (%s, %g): %w", spec.Name, p.Label, p.X, err)
+		}
+	}
+	return nil
 }
 
 // shrinkForSmoke cuts a scenario down to one cheap grid point: the CI
 // scenarios-smoke step runs every builtin through here on each push.
 func shrinkForSmoke(spec *scenario.Spec) {
-	synth := spec.Workload.Synth
-	if synth == nil {
-		synth = &scenario.SynthSpec{}
-		spec.Workload.Synth = synth
-	}
 	if spec.Workload.TraceFile == "" {
-		synth.Connections = 400
-		synth.Pages = 120
-		synth.Objects = 260
-		synth.Clients = 60
+		s := synth(spec)
+		s.Connections = 400
+		s.Pages = 120
+		s.Objects = 260
+		s.Clients = 60
 	}
 	if spec.Sweep != nil {
 		if len(spec.Sweep.Nodes) > 1 {
@@ -428,6 +256,15 @@ func shrinkForSmoke(spec *scenario.Spec) {
 			spec.Sweep.Loads = spec.Sweep.Loads[:1]
 		}
 	}
+}
+
+// synth returns the spec's synthetic-workload overrides, creating the
+// block if the spec has none.
+func synth(spec *scenario.Spec) *scenario.SynthSpec {
+	if spec.Workload.Synth == nil {
+		spec.Workload.Synth = &scenario.SynthSpec{}
+	}
+	return spec.Workload.Synth
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -16,7 +16,9 @@
 // experiments are declarative: internal/scenario compiles one versioned
 // JSON spec to simulator, prototype and load-generator configuration, with
 // the paper's figure experiments embedded as named scenarios
-// (scenario.Builtin, phttp-sim -scenario fig7). See DESIGN.md §13.
+// (scenario.Builtin, phttp-sim -scenario fig7). Every phttp-sim run, -fig N
+// and single runs included, is such a spec, compiled to a grid and run by
+// sim.RunGrid. See DESIGN.md §13.
 //
 // Start with DESIGN.md: the system inventory, the documented substitutions
 // for 1999-era infrastructure, and the shared dispatch engine

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -570,7 +571,7 @@ func (t *peerTier) handleOpen(args []string) (string, bool) {
 	fe, err1 := strconv.Atoi(args[0])
 	id, err2 := strconv.ParseInt(args[1], 10, 64)
 	size, err3 := strconv.ParseInt(args[2], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil {
+	if err1 != nil || err2 != nil || err3 != nil || size < 0 {
 		return "", false
 	}
 	tid := t.in.Intern(core.Target(args[3]))
@@ -636,7 +637,7 @@ func (t *peerTier) handleMapDelta(args []string) {
 	}
 	node, err1 := strconv.Atoi(args[0])
 	size, err2 := strconv.ParseInt(args[1], 10, 64)
-	if err1 != nil || err2 != nil || node < 0 || node >= t.nodes {
+	if err1 != nil || err2 != nil || node < 0 || node >= t.nodes || size < 0 {
 		return
 	}
 	mp, ok := t.pol.(dstate.MappingPolicy)
@@ -671,7 +672,9 @@ func (t *peerTier) handleLoadVector(args []string) {
 	for i := 0; i < nodes; i++ {
 		l, err1 := strconv.ParseFloat(args[2+2*i], 64)
 		c, err2 := strconv.ParseInt(args[3+2*i], 10, 64)
-		if err1 != nil || err2 != nil {
+		// ParseFloat accepts NaN and ±Inf; any of them, or a negative
+		// load or count, would poison every LARD cost comparison.
+		if err1 != nil || err2 != nil || math.IsNaN(l) || math.IsInf(l, 0) || l < 0 || c < 0 {
 			return
 		}
 		loadv[i] = l

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -151,4 +153,93 @@ func TestPeerTierShardedRPCs(t *testing.T) {
 		t.Fatalf("Fallbacks = %d, want >= 3 (open, move, close)", got)
 	}
 	t0.ConnClose(rc2)
+}
+
+// TestPeerTierRejectsBadReplicaInput feeds the replicated handlers lines
+// that parse but carry values no peer can legitimately send — non-finite
+// or negative loads, negative connection counts, negative sizes — and
+// demands that each leaves the tier's peer state untouched.
+func TestPeerTierRejectsBadReplicaInput(t *testing.T) {
+	const nodes = 2
+	pol, err := dispatch.Build(dispatch.Spec{Policy: "lard", Nodes: nodes, CacheBytes: 8 << 20})
+	if err != nil {
+		t.Fatalf("build policy: %v", err)
+	}
+	tier, err := newPeerTier(FrontEndConfig{
+		Nodes: nodes, Frontends: 2, FEID: 0, State: dstate.ModeReplicated,
+	}, pol)
+	if err != nil {
+		t.Fatalf("newPeerTier: %v", err)
+	}
+	defer tier.Close()
+	in := core.NewInterner()
+	tier.finishInit(in)
+	mapping := pol.(dstate.MappingPolicy).Mapping()
+
+	// A valid vector and delta first, so "unchanged" is not the zero state.
+	tier.handleLoadVector(strings.Fields("1 2 1.5 2 0.5 1"))
+	tier.handleMapDelta(strings.Fields("1 4096 /good"))
+	if !mapping.IsMapped(in.Intern("/good"), 1) || pol.Loads().Load(0) != 1.5 {
+		t.Fatal("valid replica input was not applied")
+	}
+
+	type snapshot struct {
+		Loads   []float64
+		Conns   []int
+		Bytes   []int64
+		Targets []int
+		Peer    [][]float64
+		PeerC   [][]int64
+	}
+	snap := func() snapshot {
+		var s snapshot
+		for n := 0; n < nodes; n++ {
+			s.Loads = append(s.Loads, pol.Loads().Load(core.NodeID(n)))
+			s.Conns = append(s.Conns, pol.Loads().Conns(core.NodeID(n)))
+			s.Bytes = append(s.Bytes, mapping.MappedBytes(core.NodeID(n)))
+			s.Targets = append(s.Targets, mapping.MappedTargets(core.NodeID(n)))
+		}
+		tier.lmu.Lock()
+		for f := range tier.peerLoads {
+			s.Peer = append(s.Peer, append([]float64(nil), tier.peerLoads[f]...))
+			s.PeerC = append(s.PeerC, append([]int64(nil), tier.peerConns[f]...))
+		}
+		tier.lmu.Unlock()
+		return s
+	}
+	want := snap()
+
+	for _, tc := range []struct {
+		verb, line string
+	}{
+		{"PLOADV", "1 2 NaN 2 0.5 1"},
+		{"PLOADV", "1 2 1.5 2 nan 1"},
+		{"PLOADV", "1 2 +Inf 2 0.5 1"},
+		{"PLOADV", "1 2 1.5 2 -Inf 1"},
+		{"PLOADV", "1 2 inf 2 0.5 1"},
+		{"PLOADV", "1 2 -0.5 2 0.5 1"},
+		{"PLOADV", "1 2 1.5 -2 0.5 1"},
+		{"PLOADV", "1 2 1.5 2 0.5 -1"},
+		{"PMAPD", "0 -1 /bad"},
+		{"PMAPD", "1 -4096 /good"},
+		{"POPEN", "1 7 -1 /bad"},
+	} {
+		args := strings.Fields(tc.line)
+		switch tc.verb {
+		case "PLOADV":
+			tier.handleLoadVector(args)
+		case "PMAPD":
+			tier.handleMapDelta(args)
+		case "POPEN":
+			if _, ok := tier.handleOpen(args); ok {
+				t.Errorf("POPEN %s accepted", tc.line)
+			}
+		}
+		if got := snap(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s changed peer state:\n got %+v\nwant %+v", tc.verb, tc.line, got, want)
+		}
+	}
+	if mapping.IsMapped(in.Intern("/bad"), 0) {
+		t.Error("negative-size delta mapped its target")
+	}
 }

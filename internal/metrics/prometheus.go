@@ -83,9 +83,11 @@ func (w *PromWriter) Histogram(name, help string, h *core.LatencyHist, scale flo
 			fmt.Fprintf(&w.b, "%s_bucket{le=\"%s\"} %d\n", name, promFloat(bound), cum)
 		}
 	}
-	fmt.Fprintf(&w.b, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count())
+	// The walk's running total is both +Inf and _count: re-reading
+	// h.Count() would race concurrent records and let the two disagree.
+	fmt.Fprintf(&w.b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(&w.b, "%s_sum %s\n", name, promFloat(float64(h.Sum())*scale))
-	fmt.Fprintf(&w.b, "%s_count %d\n", name, h.Count())
+	fmt.Fprintf(&w.b, "%s_count %d\n", name, cum)
 }
 
 // String returns the accumulated exposition text.

@@ -45,19 +45,6 @@ func BuiltinNames() []string {
 	return names
 }
 
-// IsBuiltin reports whether a -scenario argument resolves to an embedded
-// builtin (rather than a file on disk) under LoadOrBuiltin's rules. Tools
-// that treat builtins specially — the drift check in phttp-sim -smoke
-// verifies builtins against the legacy path — must gate on this, not on
-// the spec's name field, which a user file can freely reuse.
-func IsBuiltin(arg string) bool {
-	if _, err := os.Stat(arg); err == nil {
-		return false
-	}
-	_, err := builtinFS.ReadFile("builtin/" + strings.ToLower(strings.TrimSpace(arg)) + ".json")
-	return err == nil
-}
-
 // LoadOrBuiltin resolves the argument of a -scenario flag: an existing
 // file path loads from disk, anything else must be a builtin name. A
 // missing file whose name is not a builtin reports the file error (the

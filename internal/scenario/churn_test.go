@@ -3,7 +3,6 @@ package scenario
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"phttp/internal/core"
@@ -133,15 +132,24 @@ func TestChurnIsSimulatorOnly(t *testing.T) {
 }
 
 func TestChurnCrashBuiltinVerifies(t *testing.T) {
-	if err := VerifyBuiltin("churn-crash"); err != nil {
-		t.Fatal(err)
-	}
 	s, err := Builtin("churn-crash")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Churn == nil || len(s.Churn.Events) == 0 {
 		t.Fatal("churn-crash builtin carries no churn schedule")
+	}
+	grid, err := s.ToSimGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range grid {
+		if len(p.Config.Churn) == 0 {
+			t.Errorf("point (%s, %g) compiled without the churn schedule", p.Label, p.X)
+		}
+		if err := p.Config.Validate(); err != nil {
+			t.Errorf("point (%s, %g): %v", p.Label, p.X, err)
+		}
 	}
 }
 
@@ -176,28 +184,13 @@ func TestChurnGridWorkerCountBitIdentical(t *testing.T) {
 		t.Fatal("no grid point re-dispatched: crash landed outside the run window")
 	}
 
-	parallel := make([]sim.Result, len(grid))
-	errs := make([]error, len(grid))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				parallel[i], errs[i] = sim.Run(grid[i].Config, tr)
-			}
-		}()
+	cfgs := make([]sim.Config, len(grid))
+	for i, p := range grid {
+		cfgs[i] = p.Config
 	}
-	for i := range grid {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("parallel point %d: %v", i, err)
-		}
+	parallel, err := sim.RunGrid(cfgs, trace.NewWorkload(tr), 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("worker-count dependent churn results:\nserial:   %+v\nparallel: %+v", serial, parallel)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"phttp/internal/cluster"
@@ -14,10 +15,6 @@ import (
 	"phttp/internal/sim"
 	"phttp/internal/trace"
 )
-
-// simComboByName resolves a legacy combo name through the simulator's
-// canonical listing (sim.AllCombos).
-func simComboByName(name string) (sim.Combo, error) { return sim.ComboByName(name) }
 
 // parseChurnKind resolves a churn kind through the simulator's schema
 // spelling ("crash", "leave", "join").
@@ -46,6 +43,13 @@ func (c *ChurnSpec) retryBudget() int {
 	return DefaultChurnRetryBudget
 }
 
+// msToMicros converts a spec's milliseconds to simulator time, rounded to
+// the microsecond so a value that came from a microsecond-exact duration
+// survives the float round trip.
+func msToMicros(ms float64) core.Micros {
+	return core.Micros(math.Round(ms * float64(core.Millisecond)))
+}
+
 // SimPoint is one grid point of a compiled simulation scenario: the series
 // label, the x-axis value (cluster size, or offered load for a loads
 // sweep) and the fully resolved simulator configuration.
@@ -71,9 +75,9 @@ func (s *Spec) combo() (sim.Combo, error) {
 
 // simBase compiles one (nodes, combo) pair: the simulator's calibrated
 // defaults with the scenario's server model, cluster overrides and policy
-// options applied. The zero ClusterSpec compiles to exactly
-// sim.DefaultConfig — the golden-tested guarantee that the builtin figure
-// scenarios reproduce the legacy path byte for byte.
+// options applied. Fields the spec leaves zero keep sim.DefaultConfig's
+// values, so the builtin figure scenarios run the paper's calibrated
+// configuration (phttp-sim's figure goldens pin their output).
 func (s *Spec) simBase(nodes int, combo sim.Combo, kind core.ServerKind) sim.Config {
 	cfg := sim.DefaultConfig(nodes, combo)
 	cfg.Server = server.CostsFor(kind)
@@ -92,18 +96,13 @@ func (s *Spec) simBase(nodes int, combo sim.Combo, kind core.ServerKind) sim.Con
 	if len(s.Policy.Options) > 0 {
 		cfg.PolicyOptions = dispatch.Options(s.Policy.Options)
 	}
-	// Churn-free scenarios leave both fields zero, keeping the compiled
-	// config DeepEqual to the legacy grid (the goldens above).
 	if s.Churn != nil {
 		cfg.Churn = s.Churn.compile()
 		cfg.RetryBudget = s.Churn.retryBudget()
 	}
-	// Likewise zero without an slo block, for the same golden guarantee.
 	if s.SLO != nil {
 		cfg.SLOTarget = s.SLO.Target()
 	}
-	// Front-end-tier fields: all zero for single-front-end scenarios, so
-	// the compiled config stays DeepEqual to the legacy grid.
 	if s.Cluster.Frontends > 1 {
 		cfg.Frontends = s.Cluster.Frontends
 	}
@@ -112,7 +111,7 @@ func (s *Spec) simBase(nodes int, combo sim.Combo, kind core.ServerKind) sim.Con
 		cfg.FEState = mode
 	}
 	if s.Cluster.StalenessMs > 0 {
-		cfg.Staleness = core.Micros(s.Cluster.StalenessMs * float64(core.Millisecond))
+		cfg.Staleness = msToMicros(s.Cluster.StalenessMs)
 	}
 	return cfg
 }
@@ -132,7 +131,7 @@ func (s *Spec) ToSimGrid() ([]SimPoint, error) {
 	switch {
 	case s.Sweep != nil && len(s.Sweep.Combos) > 0:
 		for _, name := range s.Sweep.Combos {
-			combo, err := simComboByName(name)
+			combo, err := sim.ComboByName(name)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: %w", err)
 			}
@@ -162,7 +161,7 @@ func (s *Spec) ToSimGrid() ([]SimPoint, error) {
 		for _, ms := range s.Sweep.StalenessMs {
 			cfg := s.simBase(s.Cluster.Nodes, combo, kind)
 			cfg.Frontends = s.Cluster.Frontends
-			cfg.Staleness = core.Micros(ms * float64(core.Millisecond))
+			cfg.Staleness = msToMicros(ms)
 			points = append(points, SimPoint{Label: combo.Name, X: ms, Config: cfg})
 		}
 	case s.Sweep != nil && len(s.Sweep.Loads) > 0:
@@ -210,24 +209,6 @@ func (s *Spec) ToSimConfig() (sim.Config, error) {
 		return sim.Config{}, fmt.Errorf("scenario: %q compiles to a %d-point grid; use ToSimGrid", s.Name, len(points))
 	}
 	return points[0].Config, nil
-}
-
-// CombosSweep reports whether the scenario sweeps legacy combinations and,
-// if so, returns the compiled combos and the node axis — the inputs of
-// sim.ClusterSweepWorkload, so a combos scenario reuses the parallel sweep
-// driver (and produces output byte-identical to the flag path).
-func (s *Spec) CombosSweep() (combos []sim.Combo, nodes []int, ok bool, err error) {
-	if s.Sweep == nil || len(s.Sweep.Combos) == 0 {
-		return nil, nil, false, nil
-	}
-	for _, name := range s.Sweep.Combos {
-		c, err := simComboByName(name)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("scenario: %w", err)
-		}
-		combos = append(combos, c)
-	}
-	return combos, s.Sweep.Nodes, true, nil
 }
 
 // LoadsSweep reports whether the scenario sweeps offered load (the

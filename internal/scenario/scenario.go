@@ -4,10 +4,10 @@
 // the trace-driven simulator (ToSimGrid / ToSimConfig), the networked
 // prototype cluster (ToClusterConfig) and the load generator
 // (ToLoadgenConfig). The paper's figure experiments ship as embedded named
-// scenarios (Builtin("fig7")) that compile byte-identically to the legacy
-// flag-driven path, and the same file that drives a simulation drives the
-// prototype: the acceptance property of the paper's "one policy, two
-// drivers" design, extended to whole experiments.
+// scenarios (Builtin("fig7")), and every phttp-sim run, -fig N included,
+// is a spec compiled through ToSimGrid. The same file that drives a
+// simulation drives the prototype: the acceptance property of the paper's
+// "one policy, two drivers" design, extended to whole experiments.
 //
 // The JSON schema (version 1) is documented field by field in DESIGN.md
 // §13.
@@ -23,6 +23,7 @@ import (
 	"phttp/internal/core"
 	"phttp/internal/dispatch"
 	"phttp/internal/dstate"
+	"phttp/internal/sim"
 	"phttp/internal/trace"
 )
 
@@ -307,7 +308,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: sweep.combos needs a sweep.nodes axis")
 		}
 		for _, name := range s.Sweep.Combos {
-			if _, err := simComboByName(name); err != nil {
+			if _, err := sim.ComboByName(name); err != nil {
 				return fmt.Errorf("scenario: %w", err)
 			}
 		}

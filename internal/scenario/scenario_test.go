@@ -38,6 +38,17 @@ func TestBuiltinsParseAndValidate(t *testing.T) {
 		if s.Doc == "" {
 			t.Errorf("Builtin(%q) has no doc line", name)
 		}
+		// Every point of every builtin must be a runnable simulator
+		// config; phttp-sim's figure goldens pin what the figures print.
+		grid, err := s.ToSimGrid()
+		if err != nil || len(grid) == 0 {
+			t.Errorf("Builtin(%q) compiles to %d points: %v", name, len(grid), err)
+		}
+		for _, p := range grid {
+			if err := p.Config.Validate(); err != nil {
+				t.Errorf("Builtin(%q) point (%s, %g): %v", name, p.Label, p.X, err)
+			}
+		}
 	}
 }
 
@@ -113,37 +124,6 @@ func TestSynthConfigOverrides(t *testing.T) {
 	}
 }
 
-// TestVerifyBuiltins is the golden test of the tentpole: every builtin
-// compiles, and the figure scenarios compile to configuration grids
-// byte-identical to the legacy flag-driven path.
-func TestVerifyBuiltins(t *testing.T) {
-	for _, name := range BuiltinNames() {
-		if err := VerifyBuiltin(name); err != nil {
-			t.Errorf("VerifyBuiltin(%q): %v", name, err)
-		}
-	}
-}
-
-func TestCombosSweep(t *testing.T) {
-	s, err := Builtin("fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	combos, nodes, ok, err := s.CombosSweep()
-	if err != nil || !ok {
-		t.Fatalf("CombosSweep: ok=%v err=%v", ok, err)
-	}
-	if len(combos) != 7 || len(nodes) != 10 {
-		t.Errorf("fig7 sweep: %d combos × %d nodes", len(combos), len(nodes))
-	}
-	if combos[2].Name != "BEforward-extLARD-PHTTP" {
-		t.Errorf("combo order drifted: %v", combos[2].Name)
-	}
-	if _, _, ok, _ := mustBuiltin(t, "p2c").CombosSweep(); ok {
-		t.Error("p2c scenario is not a combos sweep")
-	}
-}
-
 func TestLoadsSweep(t *testing.T) {
 	if loads, ok := mustBuiltin(t, "fig3").LoadsSweep(); !ok || len(loads) != 13 {
 		t.Errorf("fig3 LoadsSweep = %v, %v", loads, ok)
@@ -184,20 +164,6 @@ func TestClusterOverridesApply(t *testing.T) {
 	}
 	if cfg.PolicyOptions["bound"] != 2.0 {
 		t.Errorf("policy options lost: %v", cfg.PolicyOptions)
-	}
-}
-
-func TestIsBuiltin(t *testing.T) {
-	if !IsBuiltin("fig7") || IsBuiltin("no-such-scenario") {
-		t.Error("IsBuiltin misclassifies names")
-	}
-	// A file on disk is never a builtin, even when it borrows the name.
-	path := t.TempDir() + "/fig7"
-	if err := writeFile(path, minimal()); err != nil {
-		t.Fatal(err)
-	}
-	if IsBuiltin(path) {
-		t.Error("IsBuiltin claimed a user file")
 	}
 }
 

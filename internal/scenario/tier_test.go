@@ -30,9 +30,9 @@ func TestTierSingleRunCompile(t *testing.T) {
 	}
 }
 
-// TestTierZeroConfigStaysLegacy guards the golden guarantee: a scenario
-// with no tier fields compiles with every tier field zero, so the config
-// stays DeepEqual to the legacy flag path.
+// TestTierZeroConfigStaysLegacy guards the figure goldens: a scenario
+// with no tier fields compiles with every tier field zero, the paper's
+// single front-end.
 func TestTierZeroConfigStaysLegacy(t *testing.T) {
 	s, err := Parse([]byte(minimal()))
 	if err != nil {

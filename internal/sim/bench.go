@@ -14,7 +14,7 @@ import (
 )
 
 // The benchmark harness behind `make bench` / `phttp-bench -sim-bench`: it
-// measures the reference ClusterSweep and emits the numbers BENCH_sim.json
+// measures the reference Figure 7 sweep and emits the numbers BENCH_sim.json
 // records, so every change to the simulator hot path leaves a trajectory
 // (ns/event, allocs/event, simulated events/sec, sweep wall-clock) that can
 // be compared across commits on the same machine.
@@ -445,7 +445,7 @@ func measureSweep(cfg BenchConfig, tr *trace.Trace, workers int) (BenchPoint, []
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	_, results, err := ClusterSweepParallel(cfg.Server, cfg.Nodes, Combos(), tr, workers)
+	_, results, err := ClusterSweepWorkload(cfg.Server, cfg.Nodes, Combos(), trace.NewWorkload(tr), workers)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	if err != nil {

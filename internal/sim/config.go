@@ -37,46 +37,38 @@ type Combo struct {
 	PHTTP bool
 }
 
-// Combos returns the full set of combinations evaluated in Figures 7 and 8,
-// in the paper's legend order, plus the relaying front-end variant discussed
-// in Section 6.1.
+// comboTable is the one listing of named combinations: the Figure 7/8
+// legend in the paper's order, then the extensions — the Section 6.1
+// relaying front-end and the LARD/R (replication) baselines from the
+// ASPLOS '98 companion strategy. -list, ComboByName and its error text all
+// read it, so no combo exists that a listing does not show.
+var comboTable = []Combo{
+	{Name: "zeroCost-extLARD-PHTTP", Policy: "extlard", Mechanism: core.ZeroCostHandoff, PHTTP: true},
+	{Name: "multiHandoff-extLARD-PHTTP", Policy: "extlard", Mechanism: core.MultipleHandoff, PHTTP: true},
+	{Name: "BEforward-extLARD-PHTTP", Policy: "extlard", Mechanism: core.BEForwarding, PHTTP: true},
+	{Name: "simple-LARD", Policy: "lard", Mechanism: core.SingleHandoff, PHTTP: false},
+	{Name: "simple-LARD-PHTTP", Policy: "lard", Mechanism: core.SingleHandoff, PHTTP: true},
+	{Name: "WRR-PHTTP", Policy: "wrr", Mechanism: core.SingleHandoff, PHTTP: true},
+	{Name: "WRR", Policy: "wrr", Mechanism: core.SingleHandoff, PHTTP: false},
+	{Name: "relayFE-extLARD-PHTTP", Policy: "extlard", Mechanism: core.RelayFrontEnd, PHTTP: true},
+	{Name: "simple-LARDR", Policy: "lardr", Mechanism: core.SingleHandoff, PHTTP: false},
+	{Name: "simple-LARDR-PHTTP", Policy: "lardr", Mechanism: core.SingleHandoff, PHTTP: true},
+}
+
+// figureCombos is how many leading comboTable entries the Figure 7/8
+// legends show.
+const figureCombos = 7
+
+// Combos returns the combinations evaluated in Figures 7 and 8, in the
+// paper's legend order.
 func Combos() []Combo {
-	return []Combo{
-		{Name: "zeroCost-extLARD-PHTTP", Policy: "extlard", Mechanism: core.ZeroCostHandoff, PHTTP: true},
-		{Name: "multiHandoff-extLARD-PHTTP", Policy: "extlard", Mechanism: core.MultipleHandoff, PHTTP: true},
-		{Name: "BEforward-extLARD-PHTTP", Policy: "extlard", Mechanism: core.BEForwarding, PHTTP: true},
-		{Name: "simple-LARD", Policy: "lard", Mechanism: core.SingleHandoff, PHTTP: false},
-		{Name: "simple-LARD-PHTTP", Policy: "lard", Mechanism: core.SingleHandoff, PHTTP: true},
-		{Name: "WRR-PHTTP", Policy: "wrr", Mechanism: core.SingleHandoff, PHTTP: true},
-		{Name: "WRR", Policy: "wrr", Mechanism: core.SingleHandoff, PHTTP: false},
-	}
+	return append([]Combo(nil), comboTable[:figureCombos]...)
 }
 
-// ExtraCombos returns the extension combinations beyond the paper's figure
-// legends: the Section 6.1 relaying front-end variant and the LARD/R
-// (replication) baselines from the ASPLOS '98 companion strategy. They run
-// in every driver but are not part of the default figure sweeps.
-func ExtraCombos() []Combo {
-	return []Combo{
-		{Name: "relayFE-extLARD-PHTTP", Policy: "extlard", Mechanism: core.RelayFrontEnd, PHTTP: true},
-		{Name: "simple-LARDR", Policy: "lardr", Mechanism: core.SingleHandoff, PHTTP: false},
-		{Name: "simple-LARDR-PHTTP", Policy: "lardr", Mechanism: core.SingleHandoff, PHTTP: true},
-	}
-}
-
-// AllCombos is the one canonical enumeration of every named combination —
-// Combos() in legend order followed by ExtraCombos(). Help text, error
-// messages and the scenario registry all derive from it, so no combo can
-// exist that a listing does not show.
-func AllCombos() []Combo {
-	return append(Combos(), ExtraCombos()...)
-}
-
-// ComboNames returns the names of AllCombos, in order.
+// ComboNames returns the name of every combination, in listing order.
 func ComboNames() []string {
-	all := AllCombos()
-	names := make([]string, len(all))
-	for i, c := range all {
+	names := make([]string, len(comboTable))
+	for i, c := range comboTable {
 		names[i] = c.Name
 	}
 	return names
@@ -85,7 +77,7 @@ func ComboNames() []string {
 // ComboByName returns the named combination. The error lists every valid
 // name (the same canonical set ComboNames reports).
 func ComboByName(name string) (Combo, error) {
-	for _, c := range AllCombos() {
+	for _, c := range comboTable {
 		if c.Name == name {
 			return c, nil
 		}

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"phttp/internal/core"
+	"phttp/internal/trace"
 )
 
 // gateResults runs all combos at n=2 on the shared test trace — a small
 // stand-in for the gate sweep, exercising the same check logic.
 func gateResults(t *testing.T) []Result {
 	t.Helper()
-	_, results, err := ClusterSweepParallel(core.Apache, []int{2}, Combos(), testTrace(), 1)
+	_, results, err := ClusterSweepWorkload(core.Apache, []int{2}, Combos(), trace.NewWorkload(testTrace()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

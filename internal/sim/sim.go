@@ -131,8 +131,8 @@ type Sim struct {
 const shardRingSeed = 0x1d15a7c4
 
 // Run simulates the trace under cfg and returns the measured result. For
-// non-P-HTTP combos the trace is flattened to HTTP/1.0 form per call; sweep
-// drivers flatten once and use runOn.
+// non-P-HTTP combos the trace is flattened to HTTP/1.0 form per call;
+// RunGrid flattens once per grid.
 //
 // Traces built by the loaders (Synth.Generate, Reconstruct) arrive interned
 // and are only read, so concurrent Run calls may share one. A hand-built
@@ -150,11 +150,10 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 }
 
 // RunPrepared simulates an already-prepared workload: interned
-// (EnsureIDs) and pre-flattened when the combo wants HTTP/1.0. It is the
-// sweep drivers' per-point entry, exported so external grid runners (the
-// scenario layer) can share one flattening across points instead of
-// paying Run's per-call Flatten10. Results are identical to Run on the
-// corresponding P-HTTP trace.
+// (EnsureIDs) and pre-flattened when the combo wants HTTP/1.0, so callers
+// timing single points can share one flattening instead of paying Run's
+// per-call Flatten10. Results are identical to Run on the corresponding
+// P-HTTP trace.
 func RunPrepared(cfg Config, workload *trace.Trace) (Result, error) {
 	return runOn(cfg, workload)
 }

@@ -12,56 +12,70 @@ import (
 	"phttp/internal/trace"
 )
 
-// Sweeps are embarrassingly parallel: every grid point is an independent
-// simulation with its own engine, policy, caches and dispatch state, sharing
-// only the read-only trace. The workers below fan the grid out over
-// GOMAXPROCS goroutines and write each Result into its preassigned slot, so
-// the returned series and results are in exactly the order the serial loop
-// produced — and, because each run is deterministic in isolation, with
-// exactly the same values.
+// Grids are embarrassingly parallel: every grid point is an independent
+// simulation with its own policy, caches and dispatch state, sharing only
+// the read-only workload. RunGrid fans the points out over worker
+// goroutines and writes each Result into the point's own slot, so results
+// come back in config order — and, because each run is deterministic in
+// isolation, with exactly the values a serial loop produces.
 
-// sweepJob is one grid point: a prepared config plus its result slot.
-type sweepJob struct {
-	cfg      Config
-	workload *trace.Trace
-	slot     int
-}
+// RunGrid simulates every config over the workload and returns the results
+// in config order. Each point runs on the P-HTTP trace or, when its combo
+// is not P-HTTP, on the workload's HTTP/1.0 flattening; both are prepared
+// (interned, flattened once) before any worker starts. workers caps the
+// pool (values below 1 mean GOMAXPROCS, 1 runs serially); the results do
+// not depend on it. On error no results are returned, and the error is
+// that of the lowest-indexed failing point among those that ran.
+func RunGrid(cfgs []Config, wl *trace.Workload, workers int) ([]Result, error) {
+	tr := wl.PHTTP
+	if tr.Interner == nil {
+		tr.EnsureIDs()
+	}
+	var flat *trace.Trace
+	for _, cfg := range cfgs {
+		if !cfg.Combo.PHTTP {
+			flat = wl.Flatten()
+			if flat.Interner == nil {
+				flat.EnsureIDs()
+			}
+			break
+		}
+	}
+	workload := func(cfg Config) *trace.Trace {
+		if cfg.Combo.PHTTP {
+			return tr
+		}
+		return flat
+	}
 
-// runJobs executes jobs across workers goroutines (capped to the job count;
-// values below 1 mean GOMAXPROCS), filling results by slot. The
-// lowest-slot error among jobs that ran wins. On error the results slice
-// is zeroed before returning: jobs that completed after the failure flag
-// was raised may have written their slots, and callers must never read a
-// partially-filled grid.
-func runJobs(jobs []sweepJob, results []Result, workers int) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(cfgs) {
+		workers = len(cfgs)
 	}
+	results := make([]Result, len(cfgs))
 	if workers <= 1 {
 		eng := simcore.NewEngine()
-		for _, j := range jobs {
-			res, err := runOnEngine(j.cfg, j.workload, eng)
+		for i, cfg := range cfgs {
+			res, err := runOnEngine(cfg, workload(cfg), eng)
 			if err != nil {
-				clear(results)
-				return err
+				return nil, err
 			}
-			results[j.slot] = res
+			results[i] = res
 		}
-		return nil
+		return results, nil
 	}
 	var (
 		wg     sync.WaitGroup
 		failed atomic.Bool
 	)
 	// Per-slot errors keep the reported failure stable — the lowest-slot
-	// error among jobs that ran wins, not whichever goroutine lost a race —
-	// while the failed flag cancels jobs not yet started so a bad sweep
-	// does not grind through the whole grid first.
-	errs := make([]error, len(results))
-	ch := make(chan sweepJob)
+	// error among points that ran wins, not whichever goroutine lost a
+	// race — while the failed flag cancels points not yet started so a bad
+	// grid does not grind through every point first.
+	errs := make([]error, len(cfgs))
+	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -72,91 +86,50 @@ func runJobs(jobs []sweepJob, results []Result, workers int) error {
 			// workers (e.g. through a sync.Pool) would bounce their cache
 			// lines between cores for no benefit.
 			eng := simcore.NewEngine()
-			for j := range ch {
+			for i := range idx {
 				if failed.Load() {
 					continue
 				}
-				res, err := runOnEngine(j.cfg, j.workload, eng)
+				res, err := runOnEngine(cfgs[i], workload(cfgs[i]), eng)
 				if err != nil {
-					errs[j.slot] = err
+					errs[i] = err
 					failed.Store(true)
 					continue
 				}
-				results[j.slot] = res
+				results[i] = res
 			}
 		}()
 	}
-	for _, j := range jobs {
-		ch <- j
+	for i := range cfgs {
+		idx <- i
 	}
-	close(ch)
+	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			clear(results)
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return results, nil
 }
 
-// ClusterSweep runs every combo over the given cluster sizes with the given
-// server cost model, regenerating the data behind Figure 7 (Apache) or
-// Figure 8 (Flash). It returns one series per combo, keyed by node count.
-// Grid points run in parallel across GOMAXPROCS workers; results are
-// identical to — and ordered exactly as — the serial sweep.
-func ClusterSweep(kind core.ServerKind, nodes []int, combos []Combo, tr *trace.Trace) ([]*metrics.Series, []Result, error) {
-	return ClusterSweepParallel(kind, nodes, combos, tr, 0)
-}
-
-// ClusterSweepParallel is ClusterSweep with an explicit worker count:
-// 1 forces the serial path (the golden tests pin parallel output to it),
-// 0 means GOMAXPROCS.
-func ClusterSweepParallel(kind core.ServerKind, nodes []int, combos []Combo, tr *trace.Trace, workers int) ([]*metrics.Series, []Result, error) {
-	return ClusterSweepWorkload(kind, nodes, combos, trace.NewWorkload(tr), workers)
-}
-
-// ClusterSweepWorkload runs the sweep over a prepared workload — e.g. one
-// loaded from the on-disk trace cache — so the HTTP/1.0 flattening is
-// taken from the cache instead of being re-derived per sweep. Results are
-// identical to ClusterSweepParallel on the same P-HTTP trace.
+// ClusterSweepWorkload runs every combo over the given cluster sizes with
+// the given server cost model — the grid behind Figure 7 (Apache) and
+// Figure 8 (Flash) — on RunGrid. It returns one throughput series per
+// combo, keyed by node count, and the results in (combo, nodes) order.
 func ClusterSweepWorkload(kind core.ServerKind, nodes []int, combos []Combo, wl *trace.Workload, workers int) ([]*metrics.Series, []Result, error) {
-	// Prepare the shared workloads once, before any worker starts: interned
-	// IDs for the P-HTTP trace, and a single HTTP/1.0 flattening shared by
-	// every non-P-HTTP grid point (the serial code used to re-flatten the
-	// trace at every (combo, nodes) pair).
-	tr := wl.PHTTP
-	if tr.Interner == nil {
-		tr.EnsureIDs()
-	}
-	var flat *trace.Trace
+	cfgs := make([]Config, 0, len(combos)*len(nodes))
 	for _, combo := range combos {
-		if !combo.PHTTP {
-			flat = wl.Flatten()
-			if flat.Interner == nil {
-				flat.EnsureIDs()
-			}
-			break
-		}
-	}
-
-	jobs := make([]sweepJob, 0, len(combos)*len(nodes))
-	for ci, combo := range combos {
-		for ni, n := range nodes {
+		for _, n := range nodes {
 			cfg := DefaultConfig(n, combo)
 			cfg.Server = server.CostsFor(kind)
-			workload := tr
-			if !combo.PHTTP {
-				workload = flat
-			}
-			jobs = append(jobs, sweepJob{cfg: cfg, workload: workload, slot: ci*len(nodes) + ni})
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	results := make([]Result, len(jobs))
-	if err := runJobs(jobs, results, workers); err != nil {
+	results, err := RunGrid(cfgs, wl, workers)
+	if err != nil {
 		return nil, nil, err
 	}
-
 	series := make([]*metrics.Series, 0, len(combos))
 	for ci, combo := range combos {
 		s := &metrics.Series{Name: combo.Name}
@@ -168,59 +141,10 @@ func ClusterSweepWorkload(kind core.ServerKind, nodes []int, combos []Combo, wl 
 	return series, results, nil
 }
 
-// DelaySweep regenerates Figure 3: a single back-end node's throughput and
-// mean delay as a function of offered load (concurrent connections). It
-// returns the throughput series and the delay series (delay in
-// milliseconds) over the given load points. Load points run in parallel;
-// output is identical to the serial sweep.
-func DelaySweep(kind core.ServerKind, loads []int, tr *trace.Trace) (throughput, delay *metrics.Series, err error) {
-	return DelaySweepParallel(kind, loads, tr, 0)
-}
-
-// DelaySweepParallel is DelaySweep with an explicit worker count (1 forces
-// serial, 0 means GOMAXPROCS).
-func DelaySweepParallel(kind core.ServerKind, loads []int, tr *trace.Trace, workers int) (throughput, delay *metrics.Series, err error) {
-	results, err := DelaySweepResults(kind, loads, tr, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	throughput = &metrics.Series{Name: "throughput(req/s)"}
-	delay = &metrics.Series{Name: "delay(ms)"}
-	for i, l := range loads {
-		throughput.Add(float64(l), results[i].Throughput)
-		delay.Add(float64(l), float64(results[i].MeanDelay)/float64(core.Millisecond))
-	}
-	return throughput, delay, nil
-}
-
-// DelaySweepResults is the Figure 3 sweep returning the full per-point
-// Results — tail-latency summaries included — instead of pre-built mean
-// series. DelaySweepParallel derives its series from it.
-func DelaySweepResults(kind core.ServerKind, loads []int, tr *trace.Trace, workers int) ([]Result, error) {
-	if tr.Interner == nil {
-		tr.EnsureIDs()
-	}
-	jobs := make([]sweepJob, 0, len(loads))
-	for i, l := range loads {
-		cfg := DefaultConfig(1, Combo{
-			Name: "single-node", Policy: "wrr",
-			Mechanism: core.SingleHandoff, PHTTP: true,
-		})
-		cfg.Server = server.CostsFor(kind)
-		cfg.ConnsPerNode = l
-		jobs = append(jobs, sweepJob{cfg: cfg, workload: tr, slot: i})
-	}
-	results := make([]Result, len(jobs))
-	if err := runJobs(jobs, results, workers); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // TailSeries folds per-point latency summaries into the p50/p95/p99/p999
 // columns (milliseconds) of a delay table, keyed by each result's slot in
-// xs. The figure 3 driver and the scenario loads path both print them
-// next to the mean-delay column.
+// xs. phttp-sim prints them next to the mean-delay column of an
+// offered-load table.
 func TailSeries(xs []float64, results []Result) (p50, p95, p99, p999 *metrics.Series) {
 	ms := func(m core.Micros) float64 { return float64(m) / float64(core.Millisecond) }
 	p50 = &metrics.Series{Name: "p50(ms)"}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"phttp/internal/core"
+	"phttp/internal/dstate"
 	"phttp/internal/metrics"
 	"phttp/internal/server"
 	"phttp/internal/trace"
@@ -27,17 +28,34 @@ func sweepTrace() *trace.Trace {
 	return sweepTraceVal
 }
 
-// TestParallelClusterSweepMatchesSerial is the golden determinism test: the
-// parallel sweep must produce byte-identical output — every Result field
-// and the rendered series table — to the serial path.
+// delayGrid is the Figure 3 grid: one Apache node under WRR with single
+// handoff, one point per offered load (connections in flight).
+func delayGrid(loads ...int) []Config {
+	cfgs := make([]Config, len(loads))
+	for i, l := range loads {
+		cfgs[i] = DefaultConfig(1, Combo{
+			Name: "single-node", Policy: "wrr",
+			Mechanism: core.SingleHandoff, PHTTP: true,
+		})
+		cfgs[i].ConnsPerNode = l
+	}
+	return cfgs
+}
+
+// TestParallelClusterSweepMatchesSerial is the golden determinism test: a
+// parallel RunGrid must produce byte-identical output — every Result field
+// and the rendered series table — to the serial path. The grid mixes the
+// figure combos (P-HTTP and flattened points) with a front-end tier and a
+// churn schedule, so every per-point workload and every reused-engine
+// path is covered.
 func TestParallelClusterSweepMatchesSerial(t *testing.T) {
-	tr := sweepTrace()
+	wl := trace.NewWorkload(sweepTrace())
 	nodes := []int{1, 2, 3}
-	serialSeries, serialResults, err := ClusterSweepParallel(core.Apache, nodes, Combos(), tr, 1)
+	serialSeries, serialResults, err := ClusterSweepWorkload(core.Apache, nodes, Combos(), wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parSeries, parResults, err := ClusterSweepParallel(core.Apache, nodes, Combos(), tr, 4)
+	parSeries, parResults, err := ClusterSweepWorkload(core.Apache, nodes, Combos(), wl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,30 +65,47 @@ func TestParallelClusterSweepMatchesSerial(t *testing.T) {
 				t.Errorf("result %d differs:\nserial:   %+v\nparallel: %+v", i, serialResults[i], parResults[i])
 			}
 		}
-		t.Fatal("parallel ClusterSweep results differ from serial")
+		t.Fatal("parallel sweep results differ from serial")
 	}
 	got := metrics.Table("nodes", parSeries...)
 	want := metrics.Table("nodes", serialSeries...)
 	if got != want {
 		t.Errorf("rendered series differ:\nserial:\n%s\nparallel:\n%s", want, got)
 	}
+
+	tier := DefaultConfig(3, Combos()[2])
+	tier.Frontends, tier.FEState, tier.Staleness = 2, dstate.ModeReplicated, 50*core.Millisecond
+	churn := DefaultConfig(3, Combos()[3])
+	churn.Churn = []ChurnEvent{{At: 500 * core.Millisecond, Kind: ChurnCrash, Node: 1}}
+	churn.RetryBudget = 2
+	mixed := append([]Config{tier, churn}, delayGrid(1, 8)...)
+	serial, err := RunGrid(mixed, wl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunGrid(mixed, wl, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, par) {
+		t.Error("parallel RunGrid over a mixed grid differs from serial")
+	}
 }
 
-// TestParallelDelaySweepMatchesSerial pins the Figure 3 sweep the same way.
+// TestParallelDelaySweepMatchesSerial pins the Figure 3 grid the same way.
 func TestParallelDelaySweepMatchesSerial(t *testing.T) {
-	tr := sweepTrace()
-	loads := []int{1, 8, 32}
-	sThr, sDelay, err := DelaySweepParallel(core.Apache, loads, tr, 1)
+	wl := trace.NewWorkload(sweepTrace())
+	cfgs := delayGrid(1, 8, 32)
+	serial, err := RunGrid(cfgs, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pThr, pDelay, err := DelaySweepParallel(core.Apache, loads, tr, 3)
+	par, err := RunGrid(cfgs, wl, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sThr, pThr) || !reflect.DeepEqual(sDelay, pDelay) {
-		t.Errorf("parallel DelaySweep differs from serial:\n%v\n%v\nvs\n%v\n%v",
-			pThr, pDelay, sThr, sDelay)
+	if !reflect.DeepEqual(serial, par) {
+		t.Errorf("parallel delay grid differs from serial:\n%+v\nvs\n%+v", par, serial)
 	}
 }
 
@@ -115,10 +150,10 @@ func TestSweepPropagatesValidationErrors(t *testing.T) {
 	tr := sweepTrace()
 	bad := []Combo{{Name: "bogus", Policy: "nonsense", Mechanism: core.SingleHandoff, PHTTP: true}}
 	for _, workers := range []int{1, 4} {
-		if _, _, err := ClusterSweepParallel(core.Apache, []int{1, 2}, bad, tr, workers); err == nil {
+		if _, _, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, bad, trace.NewWorkload(tr), workers); err == nil {
 			t.Errorf("workers=%d: unknown policy did not error", workers)
 		}
-		if _, _, err := DelaySweepParallel(core.Apache, []int{0}, tr, workers); err == nil {
+		if _, err := RunGrid(delayGrid(0), trace.NewWorkload(tr), workers); err == nil {
 			t.Errorf("workers=%d: zero load point did not error", workers)
 		}
 	}
@@ -136,7 +171,7 @@ func TestSweepErrorReturnsNoResults(t *testing.T) {
 		{Name: "bogus", Policy: "nonsense", Mechanism: core.SingleHandoff, PHTTP: true},
 	}
 	for _, workers := range []int{1, 4} {
-		series, results, err := ClusterSweepParallel(core.Apache, []int{1, 2}, combos, tr, workers)
+		series, results, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, combos, trace.NewWorkload(tr), workers)
 		if err == nil {
 			t.Fatalf("workers=%d: failing combo did not error", workers)
 		}
@@ -146,31 +181,27 @@ func TestSweepErrorReturnsNoResults(t *testing.T) {
 	}
 }
 
-// TestRunJobsZeroesResultsOnError drives runJobs directly: jobs that
-// complete after another job fails must not leave readable slots behind.
+// TestRunJobsZeroesResultsOnError drives RunGrid directly: points that
+// complete after another point fails must not leave readable results
+// behind.
 func TestRunJobsZeroesResultsOnError(t *testing.T) {
-	tr := sweepTrace()
+	wl := trace.NewWorkload(sweepTrace())
 	good, err := ComboByName("WRR")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		jobs := make([]sweepJob, 0, 6)
-		for i := 0; i < 6; i++ {
-			cfg := DefaultConfig(1, good)
-			if i == 2 {
-				cfg.Combo.Policy = "nonsense" // fails validation inside runOn
-			}
-			jobs = append(jobs, sweepJob{cfg: cfg, workload: tr, slot: i})
+		cfgs := make([]Config, 6)
+		for i := range cfgs {
+			cfgs[i] = DefaultConfig(1, good)
 		}
-		results := make([]Result, len(jobs))
-		if err := runJobs(jobs, results, workers); err == nil {
-			t.Fatalf("workers=%d: bad job did not error", workers)
+		cfgs[2].Combo.Policy = "nonsense" // fails validation inside the run
+		results, err := RunGrid(cfgs, wl, workers)
+		if err == nil {
+			t.Fatalf("workers=%d: bad point did not error", workers)
 		}
-		for i, r := range results {
-			if !reflect.DeepEqual(r, Result{}) {
-				t.Errorf("workers=%d: slot %d left populated after error: %+v", workers, i, r)
-			}
+		if results != nil {
+			t.Errorf("workers=%d: error path returned results %+v", workers, results)
 		}
 	}
 }
@@ -180,7 +211,7 @@ func TestRunJobsZeroesResultsOnError(t *testing.T) {
 // identical to one over the freshly generated trace.
 func TestClusterSweepWorkloadMatchesDirect(t *testing.T) {
 	tr := sweepTrace()
-	_, direct, err := ClusterSweepParallel(core.Apache, []int{1, 2}, Combos(), tr, 0)
+	_, direct, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, Combos(), trace.NewWorkload(tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,44 +271,50 @@ func TestRunInternsRawTrace(t *testing.T) {
 	}
 }
 
-// TestSweepEntryWrappers pins the thin public entries against the
-// parallel driver they delegate to: ClusterSweep (default workers) and
-// RunPrepared (single prepared grid point) must reproduce the same
-// results as the explicitly-parameterized paths.
+// TestSweepEntryWrappers pins the thin public entries against the grid
+// runner they wrap: ClusterSweepWorkload must equal RunGrid on the same
+// configs, and RunPrepared (single prepared point) must equal Run.
 func TestSweepEntryWrappers(t *testing.T) {
 	tr := sweepTrace()
+	wl := trace.NewWorkload(tr)
 	nodes := []int{1, 2}
-	combos := Combos()[:2]
-	wantSeries, wantResults, err := ClusterSweepParallel(core.Apache, nodes, combos, tr, 1)
+	combos := []Combo{Combos()[0], Combos()[3]}
+	_, swept, err := ClusterSweepWorkload(core.Flash, nodes, combos, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSeries, gotResults, err := ClusterSweep(core.Apache, nodes, combos, tr)
+	var cfgs []Config
+	for _, c := range combos {
+		for _, n := range nodes {
+			cfg := DefaultConfig(n, c)
+			cfg.Server = server.CostsFor(core.Flash)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	grid, err := RunGrid(cfgs, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(wantResults, gotResults) {
-		t.Error("ClusterSweep differs from ClusterSweepParallel")
-	}
-	if metrics.Table("nodes", gotSeries...) != metrics.Table("nodes", wantSeries...) {
-		t.Error("ClusterSweep series differ from ClusterSweepParallel")
+	if !reflect.DeepEqual(swept, grid) {
+		t.Error("ClusterSweepWorkload differs from RunGrid on the same configs")
 	}
 
-	cfg := DefaultConfig(1, combos[0])
-	cfg.Server = server.CostsFor(core.Apache)
-	direct, err := Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload := tr
-	if !combos[0].PHTTP {
-		workload = tr.Flatten10()
-	}
-	prepared, err := RunPrepared(cfg, workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, prepared) {
-		t.Errorf("RunPrepared differs from Run:\ndirect:   %+v\nprepared: %+v", direct, prepared)
+	for i, cfg := range cfgs {
+		direct, err := Run(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workload := tr
+		if !cfg.Combo.PHTTP {
+			workload = wl.Flatten()
+		}
+		prepared, err := RunPrepared(cfg, workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(direct, prepared) || !reflect.DeepEqual(direct, grid[i]) {
+			t.Errorf("point %d: Run, RunPrepared and RunGrid disagree:\ndirect:   %+v\nprepared: %+v\ngrid:     %+v",
+				i, direct, prepared, grid[i])
+		}
 	}
 }

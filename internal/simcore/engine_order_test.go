@@ -71,7 +71,7 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		for i, tm := range times {
 			at := core.Micros(tm % 16) // heavy tie collisions
 			id := i
-			e.At(at, func() { got = append(got, id) })
+			e.Call(at, runFn, func() { got = append(got, id) }, 0, 0)
 			ref.at(at, i)
 		}
 		e.Run(0)
@@ -110,13 +110,13 @@ func TestEngineMatchesReferenceHeapNested(t *testing.T) {
 			id := next
 			d := core.Micros(times[next] % 8)
 			next++
-			e.After(delay, func() {
+			e.CallAfter(delay, runFn, func() {
 				got = append(got, id)
 				// Each event spawns up to two children at small offsets,
 				// creating same-time collisions with pending siblings.
 				schedule(d)
 				schedule(d / 2)
-			})
+			}, 0, 0)
 		}
 		schedule(0)
 
@@ -163,6 +163,10 @@ func TestEngineMatchesReferenceHeapNested(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// runFn is the Action the ordering tests schedule closures through: obj is
+// the func() to run.
+func runFn(obj any, _, _ int64) { obj.(func())() }
 
 // stepPayload is the typed-callback payload used by the allocation tests.
 type stepPayload struct {
@@ -217,19 +221,27 @@ func TestEngineChainZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestEngineCallOrderInterleavesWithAt(t *testing.T) {
+// TestEngineCallOrderInterleavesWithCallAfter pins that absolute (Call)
+// and relative (CallAfter) scheduling share one tie-break sequence: from an
+// event at t=2, both forms aimed at t=5 fire in scheduling order.
+func TestEngineCallOrderInterleavesWithCallAfter(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	rec := func(obj any, a, b int64) { got = append(got, int(a)) }
-	e.Call(5, rec, nil, 0, 0)
-	e.At(5, func() { got = append(got, 1) })
-	e.Call(5, rec, nil, 2, 0)
-	e.At(3, func() { got = append(got, 3) })
+	e.Call(2, func(any, int64, int64) {
+		e.Call(5, rec, nil, 0, 0)
+		e.CallAfter(3, rec, nil, 1, 0)
+		e.Call(5, rec, nil, 2, 0)
+		e.CallAfter(1, rec, nil, 3, 0)
+	}, nil, 0, 0)
 	e.Run(0)
 	want := []int{3, 0, 1, 2}
+	if len(got) != len(want) {
+		t.Fatalf("mixed Call/CallAfter order = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("mixed Call/At order = %v, want %v", got, want)
+			t.Fatalf("mixed Call/CallAfter order = %v, want %v", got, want)
 		}
 	}
 }

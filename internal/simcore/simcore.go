@@ -5,9 +5,8 @@
 // The queue is a value-typed 4-ary min-heap of small (time, seq, slot) keys
 // ordered exactly as the original binary heap of *Event pointers was — by
 // time, ties broken by scheduling order — plus a free-listed slab of event
-// bodies. A body carries either a typed callback (an Action plus a pointer
-// payload and two integer arguments, the closure-free fast path the
-// simulator's hot loop uses) or a plain func() for convenience callers.
+// bodies. A body carries a typed callback: an Action plus a pointer
+// payload and two integer arguments, so scheduling needs no closure.
 // Steady-state scheduling and stepping through Call/Step touches only the
 // heap slice and the slab, so it performs zero heap allocations per event
 // once the engine has warmed up to its peak queue depth.
@@ -34,13 +33,12 @@ type heapKey struct {
 	slot int32
 }
 
-// body is the out-of-line payload of a scheduled event. Exactly one of
-// action/fn is set. next links free slots.
+// body is the out-of-line payload of a scheduled event. next links free
+// slots.
 type body struct {
 	action Action
 	obj    any
 	a, b   int64
-	fn     func()
 	next   int32
 }
 
@@ -160,20 +158,9 @@ func (e *Engine) siftDown(i int) {
 	keys[i] = k
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// that is always a modelling bug, not a recoverable condition. The closure
-// path is kept for convenience callers and tests; the simulator's hot loop
-// uses Call, which allocates nothing.
-func (e *Engine) At(t core.Micros, fn func()) {
-	s := e.alloc()
-	e.bodies[s] = body{fn: fn, next: noSlot}
-	e.push(t, s)
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d core.Micros, fn func()) { e.At(e.now+d, fn) }
-
 // Call schedules the closure-free event act(obj, a, b) at absolute time t.
+// Scheduling in the past panics: that is always a modelling bug, not a
+// recoverable condition.
 //
 //phttp:hotpath
 func (e *Engine) Call(t core.Micros, act Action, obj any, a, b int64) {
@@ -214,11 +201,7 @@ func (e *Engine) Step() bool {
 	e.bodies[top.slot] = body{next: e.free}
 	e.free = top.slot
 	e.now = top.at
-	if b.action != nil {
-		b.action(b.obj, b.a, b.b)
-	} else {
-		b.fn()
-	}
+	b.action(b.obj, b.a, b.b)
 	return true
 }
 

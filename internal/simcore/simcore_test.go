@@ -12,9 +12,9 @@ import (
 func TestEngineOrdersEventsByTime(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.Call(30, runFn, func() { got = append(got, 3) }, 0, 0)
+	e.Call(10, runFn, func() { got = append(got, 1) }, 0, 0)
+	e.Call(20, runFn, func() { got = append(got, 2) }, 0, 0)
 	e.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("event order = %v, want [1 2 3]", got)
@@ -29,7 +29,7 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.Call(5, runFn, func() { got = append(got, i) }, 0, 0)
 	}
 	e.Run(0)
 	for i, v := range got {
@@ -41,14 +41,14 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	e.Call(10, runFn, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.Call(5, runFn, func() {}, 0, 0)
+	}, 0, 0)
 	e.Run(0)
 }
 
@@ -59,10 +59,10 @@ func TestEngineEventsCanSchedule(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 100 {
-			e.After(1, chain)
+			e.CallAfter(1, runFn, chain, 0, 0)
 		}
 	}
-	e.After(1, chain)
+	e.CallAfter(1, runFn, chain, 0, 0)
 	n := e.Run(0)
 	if n != 100 || count != 100 {
 		t.Errorf("ran %d events, counted %d, want 100", n, count)
@@ -75,7 +75,7 @@ func TestEngineEventsCanSchedule(t *testing.T) {
 func TestEngineBudget(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
-		e.At(core.Micros(i), func() {})
+		e.Call(core.Micros(i), runFn, func() {}, 0, 0)
 	}
 	if n := e.Run(4); n != 4 {
 		t.Errorf("Run(4) processed %d", n)
@@ -92,7 +92,7 @@ func TestEngineHeapProperty(t *testing.T) {
 		var fired []core.Micros
 		for _, tm := range times {
 			at := core.Micros(tm)
-			e.At(at, func() { fired = append(fired, at) })
+			e.Call(at, runFn, func() { fired = append(fired, at) }, 0, 0)
 		}
 		e.Run(0)
 		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
@@ -332,9 +332,9 @@ func TestZipfPanicsOnEmpty(t *testing.T) {
 func TestEngineResetReusesSlabs(t *testing.T) {
 	run := func(e *Engine) []int {
 		var got []int
-		e.After(30, func() { got = append(got, 3) })
-		e.After(10, func() { got = append(got, 1) })
-		e.At(20, func() { got = append(got, 2) })
+		e.CallAfter(30, runFn, func() { got = append(got, 3) }, 0, 0)
+		e.CallAfter(10, runFn, func() { got = append(got, 1) }, 0, 0)
+		e.Call(20, runFn, func() { got = append(got, 2) }, 0, 0)
 		e.Run(0)
 		return got
 	}
@@ -352,7 +352,7 @@ func TestEngineResetReusesSlabs(t *testing.T) {
 		}
 	}
 	// Reset with events still pending must drop them.
-	eng.After(5, func() { t.Error("event survived Reset") })
+	eng.CallAfter(5, runFn, func() { t.Error("event survived Reset") }, 0, 0)
 	eng.Reset()
 	if n := eng.Run(0); n != 0 {
 		t.Errorf("ran %d events after Reset", n)

@@ -32,7 +32,7 @@ func NewWorkload(tr *Trace) *Workload { return &Workload{PHTTP: tr} }
 
 // Flatten returns the HTTP/1.0 form, deriving and memoizing it on first
 // use. Not safe for concurrent first calls; prepare the workload before
-// fanning out workers (the sweep drivers do).
+// fanning out workers (sim.RunGrid does).
 func (w *Workload) Flatten() *Trace {
 	if w.Flat == nil {
 		w.Flat = w.PHTTP.Flatten10()
