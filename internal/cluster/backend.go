@@ -121,13 +121,39 @@ type Backend struct {
 // beConn is one client connection owned by this back-end (after handoff) or
 // relayed through the front-end.
 type beConn struct {
-	id    core.ConnID
-	queue chan ctrlMsg
+	id core.ConnID
 
-	outMu    sync.Mutex
+	// mu guards queue and out. queue holds the control messages not yet
+	// served, in arrival order; it grows on demand, so a connection costs
+	// only what it has queued and the control session never blocks on a
+	// slow connection. wake (one slot) tells serveConn the queue is
+	// non-empty.
+	mu       sync.Mutex
+	queue    []ctrlMsg
+	wake     chan struct{}
 	out      net.Conn // handed-off client socket (nil for relay)
 	relay    bool
 	outReady chan struct{}
+}
+
+// push queues one control message for the connection's serve goroutine.
+func (c *beConn) push(msg ctrlMsg) {
+	c.mu.Lock()
+	c.queue = append(c.queue, msg)
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// take returns every queued message and gives buf's storage, emptied, to
+// the queue, so the two slices swap back and forth without allocating.
+func (c *beConn) take(buf []ctrlMsg) []ctrlMsg {
+	c.mu.Lock()
+	buf, c.queue = c.queue, buf[:0]
+	c.mu.Unlock()
+	return buf
 }
 
 // NewBackend starts a back-end node: control, handoff and peer listeners
@@ -336,22 +362,10 @@ func (b *Backend) ctrlLoop(br *bufio.Reader) {
 			return
 		}
 		switch msg.Kind {
-		case "REQ":
-			c := b.getConn(msg.Conn, false)
-			select {
-			case c.queue <- msg:
-			case <-b.closed:
-				return
-			}
+		case "REQ", "CLOSE":
+			b.getConn(msg.Conn, false).push(msg)
 		case "RELAY":
 			b.getConn(msg.Conn, true)
-		case "CLOSE":
-			c := b.getConn(msg.Conn, false)
-			select {
-			case c.queue <- msg:
-			case <-b.closed:
-				return
-			}
 		}
 	}
 }
@@ -366,7 +380,7 @@ func (b *Backend) getConn(id core.ConnID, relay bool) *beConn {
 	}
 	c := &beConn{
 		id:       id,
-		queue:    make(chan ctrlMsg, 256),
+		wake:     make(chan struct{}, 1),
 		relay:    relay,
 		outReady: make(chan struct{}),
 	}
@@ -390,8 +404,8 @@ func (b *Backend) dropConn(id core.ConnID) {
 
 // setWriter installs the handed-off client socket on the connection.
 func (c *beConn) setWriter(conn net.Conn) {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.out != nil {
 		conn.Close() // duplicate handoff; keep the first
 		return
@@ -401,8 +415,8 @@ func (c *beConn) setWriter(conn net.Conn) {
 }
 
 func (c *beConn) closeOut() {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.out != nil {
 		c.out.Close()
 		c.out = nil
@@ -449,9 +463,17 @@ func (b *Backend) serveConn(c *beConn) {
 	case <-b.closed:
 		return
 	}
+	var work []ctrlMsg
 	for {
 		select {
-		case msg := <-c.queue:
+		case <-c.wake:
+		case <-b.closed:
+			c.closeOut()
+			b.dropConn(c.id)
+			return
+		}
+		work = c.take(work)
+		for _, msg := range work {
 			switch msg.Kind {
 			case "REQ":
 				if err := b.serveRequest(c, msg); err != nil {
@@ -465,11 +487,8 @@ func (b *Backend) serveConn(c *beConn) {
 				b.dropConn(c.id)
 				return
 			}
-		case <-b.closed:
-			c.closeOut()
-			b.dropConn(c.id)
-			return
 		}
+		clear(work) // drop the served messages' strings
 	}
 }
 
@@ -538,9 +557,9 @@ func (b *Backend) writeResponse(c *beConn, msg ctrlMsg, size int64, body func(io
 	if c.relay {
 		return b.writeRelayFrame(c, msg, head, size, body)
 	}
-	c.outMu.Lock()
+	c.mu.Lock()
 	out := c.out
-	c.outMu.Unlock()
+	c.mu.Unlock()
 	if out == nil {
 		return errors.New("cluster: response with no client socket")
 	}
@@ -557,9 +576,9 @@ func (b *Backend) writeError(c *beConn, msg ctrlMsg, status int) error {
 			return err
 		})
 	}
-	c.outMu.Lock()
+	c.mu.Lock()
 	out := c.out
-	c.outMu.Unlock()
+	c.mu.Unlock()
 	if out == nil {
 		return errors.New("cluster: response with no client socket")
 	}

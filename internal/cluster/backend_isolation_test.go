@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,6 +186,25 @@ func TestBackendPipelinedOrderPreserved(t *testing.T) {
 			r1.ContentLength, r2.ContentLength)
 	}
 	fe.send("CLOSE 3\n")
+}
+
+// One connection with a deep queue of requests it cannot serve yet (its
+// socket has not been handed off) must not stall the control session for
+// the other connections sharing it.
+func TestBackendDeepQueueDoesNotBlockOtherConns(t *testing.T) {
+	_, _, fe := newBackendPair(t)
+	var sb strings.Builder
+	for seq := 0; seq < 1000; seq++ {
+		fmt.Fprintf(&sb, "REQ 4 %d HTTP/1.1 1 - /local\n", seq)
+	}
+	fe.send(sb.String())
+	client := fe.handoff(5)
+	client.SetDeadline(time.Now().Add(10 * time.Second))
+	fe.send("REQ 5 0 HTTP/1.1 1 - /local\n")
+	if resp, _ := readFullResponse(t, bufio.NewReader(client)); resp.Status != 200 {
+		t.Fatalf("status %d", resp.Status)
+	}
+	fe.send("CLOSE 5\n")
 }
 
 func TestBackendDiskReports(t *testing.T) {

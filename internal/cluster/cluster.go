@@ -44,6 +44,10 @@ type Config struct {
 	TimeScale float64
 
 	IdleTimeout time.Duration
+	// BatchWindow bounds the front-end's wait for the rest of a request
+	// head that has started arriving mid-batch; a batch ends without
+	// waiting once nothing more of it has arrived (see
+	// FrontEndConfig.BatchWindow).
 	BatchWindow time.Duration
 	// MaintainInterval is the front-end's wall-clock maintenance ticker
 	// (see FrontEndConfig.MaintainInterval); 0 disables it.

@@ -153,9 +153,9 @@ func (fe *FrontEnd) redispatchPending(p *pendingReq, dead core.NodeID) {
 	c.mu.Unlock()
 	p.node = to
 	if !c.setReqNode(to) {
-		fe.sendCtrl(to, formatRelay(c.id))
+		fe.sendCtrl(to, []byte(formatRelay(c.id)))
 	}
-	if err := fe.sendCtrl(to, p.line); err != nil {
+	if err := fe.sendCtrl(to, []byte(p.line)); err != nil {
 		fe.suspect(to)
 		return
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"phttp/internal/core"
@@ -69,9 +71,11 @@ type FrontEndConfig struct {
 	// IdleTimeout closes persistent connections with no request activity
 	// (the paper's configurable interval, typically 15 s).
 	IdleTimeout time.Duration
-	// BatchWindow is how long the forwarding module waits for further
-	// pipelined requests after one arrives before treating the batch as
-	// complete.
+	// BatchWindow bounds how long the forwarding module waits for the
+	// rest of a request head that has started arriving in the middle of a
+	// pipelined batch (DESIGN.md §4.6). A batch otherwise ends, with no
+	// wait, as soon as no further request of it has arrived. Zero takes
+	// 2 ms.
 	BatchWindow time.Duration
 	// ClientListen is the client-facing listen address; empty means an
 	// ephemeral loopback port.
@@ -731,10 +735,11 @@ type feConn struct {
 	br    *bufio.Reader
 	relay *relayConn
 
-	// batchStart is when the current pipelined batch finished arriving —
-	// the latency clock's zero, matching the simulator's delay
-	// definition. Owner-goroutine only (stamped by readBatch; relayed
-	// requests copy it into their pendingReq before publication).
+	// batchStart is when the current pipelined batch finished arriving
+	// (readBatch stamps it as the batch ends, with no idle wait before
+	// it) — the latency clock's zero, matching the simulator's delay
+	// definition. Owner-goroutine only (relayed requests copy it into
+	// their pendingReq before publication).
 	batchStart time.Time
 
 	// reqNodes is the set of back-ends that received requests, for CLOSE
@@ -744,6 +749,11 @@ type feConn struct {
 	mu       sync.Mutex
 	reqNodes map[core.NodeID]bool
 	seq      int
+	// dests and ctrlBuf are dispatchBatch's reused scratch: each
+	// request's destination, and the control messages of one write.
+	// Owner-goroutine only.
+	dests   []core.NodeID
+	ctrlBuf []byte
 	// pendingMove is a re-dispatch-requested handling change (NoNode
 	// when none): the health loop records it, and the connection's own
 	// goroutine applies it — engine Conn state is owner-serialized.
@@ -764,9 +774,11 @@ func (c *feConn) setReqNode(dest core.NodeID) bool {
 // connection: parse requests, group pipelined bursts into batches, dispatch
 // through the policy, tag and forward to back-ends.
 func (fe *FrontEnd) serveClient(conn net.Conn) {
+	br := clientReaders.Get().(*bufio.Reader)
+	br.Reset(conn)
 	c := &feConn{
 		conn:        conn,
-		br:          bufio.NewReaderSize(conn, 16<<10),
+		br:          br,
 		reqNodes:    make(map[core.NodeID]bool),
 		pendingMove: core.NoNode,
 	}
@@ -774,21 +786,28 @@ func (fe *FrontEnd) serveClient(conn net.Conn) {
 
 	opened := false
 	for {
-		batch, reqs, err := fe.readBatch(c)
-		if err != nil || len(batch) == 0 {
+		batch, reqs, readErr := fe.readBatch(c)
+		if len(batch) == 0 {
 			return
 		}
-		err = fe.serveBatch(c, batch, reqs, &opened)
+		err := fe.serveBatch(c, batch, reqs, &opened)
 		// The parse-time interner references are dropped once the batch
 		// has been dispatched (or abandoned): the mapping holds its own
 		// references and back-ends address content by target string, so
 		// under a capped interner unpopular URLs become recyclable the
 		// moment their requests are on the wire.
 		fe.eng.ReleaseBatch(batch)
-		if err != nil {
+		if err != nil || readErr != nil {
 			return
 		}
 	}
+}
+
+// clientReaders pools the forwarding module's per-connection 16 KB read
+// buffers, so a connection's buffer is reused by the next one instead of
+// becoming garbage at every close.
+var clientReaders = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(nil, 16<<10) },
 }
 
 // serveBatch admits the connection on its first batch and dispatches the
@@ -814,9 +833,11 @@ func (fe *FrontEnd) trackDispatch() func() {
 	}
 }
 
-// readBatch reads one pipelined batch: the first request blocks until the
-// idle timeout; subsequent requests are taken while already buffered or
-// arriving within the batch window.
+// readBatch reads one pipelined batch (DESIGN.md §4.6). The first request
+// blocks until the idle timeout; the batch then takes every further
+// request that has already arrived and ends the moment nothing more of it
+// has. A non-nil error with a non-empty batch means a later request was
+// malformed: the batch is still dispatched, then the connection closes.
 func (fe *FrontEnd) readBatch(c *feConn) (core.Batch, []*httpmsg.Request, error) {
 	idle := fe.cfg.IdleTimeout
 	if idle <= 0 {
@@ -828,34 +849,103 @@ func (fe *FrontEnd) readBatch(c *feConn) (core.Batch, []*httpmsg.Request, error)
 	}
 
 	in := fe.eng.Interner()
-	c.conn.SetReadDeadline(time.Now().Add(idle))
+	idleDeadline := time.Now().Add(idle)
+	c.conn.SetReadDeadline(idleDeadline)
 	first, err := httpmsg.ReadRequestInterned(c.br, in)
 	if err != nil {
 		return nil, nil, err
 	}
 	batch := core.Batch{toRequest(first)}
 	reqs := []*httpmsg.Request{first}
-	for {
-		if c.br.Buffered() == 0 {
-			// Give closely spaced pipelined requests a brief chance to
-			// land, then call the batch complete. The wait itself is
-			// idle time, not dispatcher work.
-			c.conn.SetReadDeadline(time.Now().Add(window))
-			if _, err := c.br.Peek(1); err != nil {
-				break
-			}
-		}
-		c.conn.SetReadDeadline(time.Now().Add(window))
-		req, err := httpmsg.ReadRequestInterned(c.br, in)
-		if err != nil {
+	for nextArrived(c.conn, c.br, window, idleDeadline) {
+		var req *httpmsg.Request
+		if req, err = httpmsg.ReadRequestInterned(c.br, in); err != nil {
 			break
 		}
 		batch = append(batch, toRequest(req))
 		reqs = append(reqs, req)
 	}
-	c.conn.SetReadDeadline(time.Time{})
 	c.batchStart = time.Now()
-	return batch, reqs, nil
+	return batch, reqs, err
+}
+
+// nextArrived reports whether the batch being read continues: a complete
+// request head is buffered in br, or bytes already readable in the kernel
+// complete one. A partially arrived head is waited for, but at most window.
+// It never consumes bytes, so a head that does not complete in time stays
+// buffered and starts the next batch. A head longer than br's buffer
+// cannot be seen whole; it counts as arrived and is parsed as it streams
+// in, under the idle deadline. On return the read deadline is idle again.
+func nextArrived(conn net.Conn, br *bufio.Reader, window time.Duration, idle time.Time) bool {
+	waited := false
+	defer func() {
+		if waited {
+			conn.SetReadDeadline(idle)
+		}
+	}()
+	for {
+		n := br.Buffered()
+		if n == br.Size() {
+			return true
+		}
+		buf, _ := br.Peek(n)
+		if headComplete(buf) {
+			return true
+		}
+		if socketReadable(conn) {
+			br.Peek(n + 1) // the bytes are there: one read, no wait
+			continue
+		}
+		if n == 0 {
+			return false
+		}
+		if !waited {
+			waited = true
+			conn.SetReadDeadline(time.Now().Add(window))
+		}
+		if _, err := br.Peek(n + 1); err != nil {
+			return false
+		}
+	}
+}
+
+// headComplete reports whether buf holds a whole request head: some line
+// in it is blank once its CR/LF terminator is trimmed, which is where
+// httpmsg's parser stops (a leading blank line fails that parse at once,
+// without waiting for more input).
+func headComplete(buf []byte) bool {
+	for {
+		i := bytes.IndexByte(buf, '\n')
+		if i < 0 {
+			return false
+		}
+		if len(bytes.TrimRight(buf[:i], "\r")) == 0 {
+			return true
+		}
+		buf = buf[i+1:]
+	}
+}
+
+// socketReadable reports whether the kernel already holds unread bytes
+// for conn: one non-blocking MSG_PEEK probe, returning true from the
+// callback so the read never parks. End of stream and errors read as
+// false; the next blocking read reports them.
+func socketReadable(conn net.Conn) bool {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return false
+	}
+	raw, err := sc.SyscallConn()
+	if err != nil {
+		return false
+	}
+	var one [1]byte
+	n := 0
+	err = raw.Read(func(fd uintptr) bool {
+		n, _, _ = syscall.Recvfrom(int(fd), one[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		return true
+	})
+	return err == nil && n > 0
 }
 
 // toRequest converts a parsed request into the policy's vocabulary,
@@ -925,7 +1015,8 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	return nil
 }
 
-// dispatchBatch assigns a batch and forwards the tagged requests.
+// dispatchBatch assigns a batch and forwards the tagged requests, with one
+// control write per destination back-end.
 func (fe *FrontEnd) dispatchBatch(c *feConn, batch core.Batch, reqs []*httpmsg.Request) error {
 	c.mu.Lock()
 	move := c.pendingMove
@@ -941,68 +1032,91 @@ func (fe *FrontEnd) dispatchBatch(c *feConn, batch core.Batch, reqs []*httpmsg.R
 	handling := c.ec.Handling()
 	done()
 
-	for i, a := range assignments {
-		req := reqs[i]
-		keep := req.KeepAlive()
-		var line string
-		var dest core.NodeID
-		relay := fe.cfg.Mechanism == core.RelayFrontEnd
-		switch {
-		case relay:
-			// Each request goes directly to its assigned node.
-			dest = a.Node
-			line = formatReq(c.id, c.seq, req.Proto, keep, core.NoNode, core.Target(req.Target))
-		case a.Forward:
-			// Tag the request: the handling node must fetch it from
-			// the assigned node.
-			dest = handling
-			line = formatReq(c.id, c.seq, req.Proto, keep, a.Node, core.Target(req.Target))
-		default:
-			dest = handling
-			line = formatReq(c.id, c.seq, req.Proto, keep, core.NoNode, core.Target(req.Target))
-		}
-		seq := c.seq
-		c.seq++
-		if !c.setReqNode(dest) && relay {
-			fe.sendCtrl(dest, formatRelay(c.id))
-		}
+	// Relayed requests go directly to their assigned nodes; otherwise
+	// every request goes to the handling node, tagged with the assigned
+	// node when that node must serve it by a lateral fetch.
+	relay := fe.cfg.Mechanism == core.RelayFrontEnd
+	dests := c.dests[:0]
+	for _, a := range assignments {
 		if relay {
-			// Register before sending: a node that dies between the
-			// write and its response must find the request sweepable.
-			fe.addPending(c, seq, dest, line)
-			if err := fe.sendCtrl(dest, line); err != nil {
-				// Write failure is liveness evidence; the request stays
-				// pending and is re-dispatched once the node is
+			dests = append(dests, a.Node)
+		} else {
+			dests = append(dests, handling)
+		}
+	}
+	c.dests = dests
+	seq0 := c.seq
+	c.seq += len(assignments)
+
+	for i, dest := range dests {
+		if dest == core.NoNode {
+			continue // written with an earlier request's destination
+		}
+		if !c.setReqNode(dest) && relay {
+			fe.sendCtrl(dest, []byte(formatRelay(c.id)))
+		}
+		buf := c.ctrlBuf[:0]
+		n := 0
+		for j := i; j < len(dests); j++ {
+			if dests[j] != dest {
+				continue
+			}
+			dests[j] = core.NoNode
+			n++
+			req, seq := reqs[j], seq0+j
+			if relay {
+				// Register before sending: a node that dies between the
+				// write and its response must find the request sweepable.
+				line := formatReq(c.id, seq, req.Proto, req.KeepAlive(), core.NoNode, core.Target(req.Target))
+				fe.addPending(c, seq, dest, line)
+				buf = append(buf, line...)
+				continue
+			}
+			remote := core.NoNode
+			if assignments[j].Forward {
+				remote = assignments[j].Node
+			}
+			buf = appendReq(buf, c.id, seq, req.Proto, req.KeepAlive(), remote, core.Target(req.Target))
+		}
+		c.ctrlBuf = buf
+		err := fe.sendCtrl(dest, buf)
+		if relay {
+			if err != nil {
+				// Write failure is liveness evidence; the requests stay
+				// pending and are re-dispatched once the node is
 				// confirmed Down.
 				fe.suspect(dest)
 			}
 			continue
 		}
-		if err := fe.sendCtrl(dest, line); err != nil {
+		if err != nil {
 			// With the client socket handed off (or forwarding through
-			// the handling node), the FE cannot replay the request
+			// the handling node), the FE cannot replay the requests
 			// elsewhere — connection close is the fallback.
 			fe.suspect(dest)
 			return err
 		}
 		// Handoff / BE forwarding: responses bypass the front-end, so the
 		// observable latency here is batch completion → request forwarded.
-		fe.lat.Record(time.Since(c.batchStart).Microseconds())
+		lat := time.Since(c.batchStart).Microseconds()
+		for ; n > 0; n-- {
+			fe.lat.Record(lat)
+		}
 	}
 	return nil
 }
 
-// sendCtrl writes one control message to a back-end. A slot with no live
-// control link (unreachable at start, or torn down by AddBackend mid-swap)
-// fails fast instead of dereferencing a nil conn.
-func (fe *FrontEnd) sendCtrl(n core.NodeID, line string) error {
+// sendCtrl writes control messages to a back-end in one write. A slot
+// with no live control link (unreachable at start, or torn down by
+// AddBackend mid-swap) fails fast instead of dereferencing a nil conn.
+func (fe *FrontEnd) sendCtrl(n core.NodeID, msg []byte) error {
 	link := fe.links[n]
 	link.ctrlMu.Lock()
 	defer link.ctrlMu.Unlock()
 	if link.ctrl == nil {
 		return fmt.Errorf("cluster: backend %v not connected", n)
 	}
-	_, err := io.WriteString(link.ctrl, line)
+	_, err := link.ctrl.Write(msg)
 	return err
 }
 
@@ -1017,7 +1131,7 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 	c.mu.Unlock()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	for _, n := range nodes {
-		fe.sendCtrl(n, formatClose(c.id))
+		fe.sendCtrl(n, []byte(formatClose(c.id)))
 	}
 	fe.pendingMu.Lock()
 	delete(fe.pending, c.id)
@@ -1033,6 +1147,8 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 		done()
 	}
 	c.conn.Close()
+	c.br.Reset(nil)
+	clientReaders.Put(c.br)
 }
 
 // HandoffSocketDir creates a private directory for handoff sockets.

@@ -43,8 +43,9 @@ func TestIdleFrontEndMaintainTicker(t *testing.T) {
 	cfg.MaxTargets = maxTargets
 	cfg.SimulateCPU = false
 	cfg.TimeScale = 200
-	// A generous batch window keeps the whole pipelined burst in one
-	// batch, so all parse-time references overlap; the ticker interval
+	// The burst is written in one write, so it arrives as one batch and
+	// all parse-time references overlap; the generous batch window also
+	// rides out a head split across TCP segments. The ticker interval
 	// leaves room to observe the bloated table before the first tick.
 	cfg.BatchWindow = 200 * time.Millisecond
 	cfg.MaintainInterval = time.Second

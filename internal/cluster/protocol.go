@@ -44,17 +44,32 @@ type ctrlMsg struct {
 	Depth  int // DISKQ
 }
 
+// appendReq appends a REQ message to dst.
+func appendReq(dst []byte, id core.ConnID, seq int, proto string, keep bool, remote core.NodeID, target core.Target) []byte {
+	dst = append(dst, "REQ "...)
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(seq), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, proto...)
+	if keep {
+		dst = append(dst, " 1 "...)
+	} else {
+		dst = append(dst, " 0 "...)
+	}
+	if remote == core.NoNode {
+		dst = append(dst, '-')
+	} else {
+		dst = strconv.AppendInt(dst, int64(remote), 10)
+	}
+	dst = append(dst, ' ')
+	dst = append(dst, target...)
+	return append(dst, '\n')
+}
+
 // formatReq renders a REQ message.
 func formatReq(id core.ConnID, seq int, proto string, keep bool, remote core.NodeID, target core.Target) string {
-	k := "0"
-	if keep {
-		k = "1"
-	}
-	r := "-"
-	if remote != core.NoNode {
-		r = strconv.Itoa(int(remote))
-	}
-	return fmt.Sprintf("REQ %d %d %s %s %s %s\n", id, seq, proto, k, r, target)
+	return string(appendReq(nil, id, seq, proto, keep, remote, target))
 }
 
 func formatClose(id core.ConnID) string { return fmt.Sprintf("CLOSE %d\n", id) }

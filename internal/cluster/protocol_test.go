@@ -23,6 +23,21 @@ func TestCtrlReqRoundTrip(t *testing.T) {
 	}
 }
 
+// The REQ wire bytes are fixed: back-ends of other builds parse them.
+func TestCtrlReqWireBytes(t *testing.T) {
+	for _, tc := range []struct {
+		got, want string
+	}{
+		{formatReq(42, 7, "HTTP/1.1", true, 3, "/docs/page.html"), "REQ 42 7 HTTP/1.1 1 3 /docs/page.html\n"},
+		{formatReq(1<<40+5, 0, "HTTP/1.0", false, core.NoNode, "/x"), "REQ 1099511627781 0 HTTP/1.0 0 - /x\n"},
+		{string(appendReq([]byte("CLOSE 9\n"), 9, 12, "HTTP/1.1", false, 0, "/a?b")), "CLOSE 9\nREQ 9 12 HTTP/1.1 0 0 /a?b\n"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("got %q, want %q", tc.got, tc.want)
+		}
+	}
+}
+
 func TestCtrlReqLocalServe(t *testing.T) {
 	line := formatReq(1, 0, "HTTP/1.0", false, core.NoNode, "/x")
 	m, err := parseCtrl(strings.TrimSpace(line))

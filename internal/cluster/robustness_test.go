@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -185,4 +186,84 @@ func firstTarget(t *testing.T) string {
 		}
 	}
 	return string(best)
+}
+
+// twoTargets returns two distinct targets of the small test catalog.
+func twoTargets(tr *trace.Trace) (string, string) {
+	var ts []string
+	for tg := range tr.Sizes {
+		ts = append(ts, string(tg))
+	}
+	sort.Strings(ts)
+	return ts[0], ts[1]
+}
+
+// readResponses reads n complete responses from br.
+func readResponses(t *testing.T, conn net.Conn, br *bufio.Reader, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := httpmsg.ReadResponse(br)
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", i+1, n, err)
+		}
+		if resp.Status != 200 {
+			t.Fatalf("response %d status %d", i+1, resp.Status)
+		}
+		if _, err := io.CopyN(io.Discard, br, resp.ContentLength); err != nil {
+			t.Fatalf("response %d body: %v", i+1, err)
+		}
+	}
+}
+
+// A pipelined request whose head arrives in two pieces, the second after
+// the batch window, is served: the front-end must not consume the first
+// piece while deciding where the batch ends.
+func TestSplitRequestAcrossWritesIsServed(t *testing.T) {
+	cfg, tr := testConfig(t, 2, "extlard", core.BEForwarding)
+	cl, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	conn, err := net.Dial("tcp", cl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	a, b := twoTargets(tr)
+	if _, err := io.WriteString(conn, "GET "+a+" HTTP/1.1\r\nHost: cluster\r\n\r\nGET "+b+" HTTP/1.1\r\nHo"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if _, err := io.WriteString(conn, "st: cluster\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	readResponses(t, conn, bufio.NewReader(conn), 2)
+}
+
+// A batch is dispatched as soon as it has arrived: one request is answered
+// long before a (deliberately huge) batch window could expire.
+func TestBatchBoundaryNoIdleWait(t *testing.T) {
+	cfg, tr := testConfig(t, 2, "extlard", core.BEForwarding)
+	cfg.BatchWindow = 300 * time.Millisecond
+	cl, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	conn, err := net.Dial("tcp", cl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	a, _ := twoTargets(tr)
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET "+a+" HTTP/1.1\r\nHost: cluster\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	readResponses(t, conn, bufio.NewReader(conn), 1)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("one request took %v with a %v batch window", took, cfg.BatchWindow)
+	}
 }
