@@ -63,7 +63,6 @@ func main() {
 		cacheMB  = flag.Int64("cache-mb", cluster.PrototypeCacheBytes>>20, "per-node cache estimate for the mapping model (MB)")
 		idle     = flag.Duration("idle-timeout", 15*time.Second, "persistent connection idle close interval")
 		maxTgts  = flag.Int("max-targets", 0, "cap the dispatcher's target table (evictable interner with ID recycling) for long-haul deployments facing an unbounded URL space; 0 pins every target ever seen")
-		stripes  = flag.Int("intern-stripes", 0, "shard the capped target table into this many stripes (power of two) so parallel connection handlers don't serialize on one lock; 0 picks a default from -max-targets")
 		maintain = flag.Duration("maintain-interval", cluster.DefaultMaintainInterval, "wall-clock bound on dispatcher maintenance staleness when no connections are closing (0 disables; only meaningful with -max-targets)")
 		scenFlag = flag.String("scenario", "", "take the dispatcher configuration (policy, options, mechanism, cache model, target cap) from a scenario: builtin name or JSON file; explicitly set flags override it")
 		admin    = flag.String("admin", "", "admin listen address for the membership surface (GET /membership, POST /backends/add, POST /backends/remove); empty disables it")
@@ -126,9 +125,6 @@ func main() {
 	}
 	if set["max-targets"] {
 		cfg.MaxTargets = *maxTgts
-	}
-	if set["intern-stripes"] {
-		cfg.InternStripes = *stripes
 	}
 	if set["maintain-interval"] {
 		cfg.MaintainInterval = *maintain

@@ -11,7 +11,4 @@ func TestCapacityAccessors(t *testing.T) {
 	if got := NewIDLRU(200).Capacity(); got != 200 {
 		t.Errorf("IDLRU Capacity = %d, want 200", got)
 	}
-	if got := NewShardedLRU(400, 4).Capacity(); got != 400 {
-		t.Errorf("ShardedLRU Capacity = %d, want 400", got)
-	}
 }

@@ -2,16 +2,21 @@ package cache
 
 import "phttp/internal/core"
 
-// IDLRU is the single-threaded LRU the simulator's per-node main-memory
-// caches use: same byte-budget semantics as LRU, but keyed by dense interned
-// TargetID so the per-event path is a slice index instead of a string-keyed
-// map probe, and backed by a slab with an index free list so steady-state
+// IDLRU is the ID-keyed LRU behind both the simulator's per-node
+// main-memory caches and the dispatcher's per-node mapping model (Mapping):
+// same byte-budget semantics as LRU, but keyed by dense interned TargetID so
+// the per-event path is a slice index instead of a string-keyed map probe,
+// and backed by a slab with an index free list so steady-state
 // lookup/insert/evict cycles allocate nothing.
+//
+// IDLRU is single-threaded. The simulator drives it from one goroutine;
+// Mapping serializes every call under its own lock.
 //
 // The zero value is not usable; call NewIDLRU.
 type IDLRU struct {
 	capacity int64
 	bytes    int64
+	n        int // cached targets
 	// pos[id] is the slab slot of id plus one; 0 means not cached. It grows
 	// to the highest ID seen, which is bounded by the interner's population
 	// (and, under an evictable interner, by its cap — see Compact).
@@ -59,13 +64,7 @@ func (c *IDLRU) Capacity() int64 { return c.capacity }
 func (c *IDLRU) Bytes() int64 { return c.bytes }
 
 // Len returns the number of cached targets.
-func (c *IDLRU) Len() int {
-	n := 0
-	for e := c.head; e != noEntry; e = c.slots[e].next {
-		n++
-	}
-	return n
-}
+func (c *IDLRU) Len() int { return c.n }
 
 // Hits and Misses return the Lookup counters.
 func (c *IDLRU) Hits() int64   { return c.hits }
@@ -131,11 +130,23 @@ func (c *IDLRU) Lookup(id core.TargetID) bool {
 		return false
 	}
 	c.hits++
+	c.promote(s)
+	return true
+}
+
+// Touch promotes target to most recently used if cached, without touching
+// the hit/miss counters.
+func (c *IDLRU) Touch(id core.TargetID) {
+	if s := c.slot(id); s != noEntry {
+		c.promote(s)
+	}
+}
+
+func (c *IDLRU) promote(s int32) {
 	if c.head != s {
 		c.unlink(s)
 		c.pushFront(s)
 	}
-	return true
 }
 
 // Contains reports whether target is cached without promoting it or
@@ -155,10 +166,7 @@ func (c *IDLRU) Insert(id core.TargetID, size int64) {
 	if s := c.slot(id); s != noEntry {
 		c.bytes += size - c.slots[s].size
 		c.slots[s].size = size
-		if c.head != s {
-			c.unlink(s)
-			c.pushFront(s)
-		}
+		c.promote(s)
 		c.evictOver()
 		return
 	}
@@ -177,6 +185,7 @@ func (c *IDLRU) Insert(id core.TargetID, size int64) {
 	c.setPos(id, s)
 	c.pushFront(s)
 	c.bytes += size
+	c.n++
 	if c.rc != nil {
 		c.rc.Acquire(id)
 	}
@@ -200,6 +209,7 @@ func (c *IDLRU) removeSlot(s int32) {
 	c.unlink(s)
 	c.pos[e.id] = 0
 	c.bytes -= e.size
+	c.n--
 	c.slots[s] = idEntry{next: c.free}
 	c.free = s
 	if c.rc != nil {

@@ -1,11 +1,24 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"phttp/internal/core"
 )
+
+// Shorthand IDs for readability: interned IDs are 1-based.
+const (
+	idA core.TargetID = 1
+	idB core.TargetID = 2
+	idC core.TargetID = 3
+)
+
+// refTarget maps a test ID to the string key used by the reference LRU.
+func refTarget(id core.TargetID) core.Target {
+	return core.Target(fmt.Sprintf("/t%d", id))
+}
 
 func TestIDLRUBasicInsertLookup(t *testing.T) {
 	c := NewIDLRU(100)
@@ -25,6 +38,36 @@ func TestIDLRUBasicInsertLookup(t *testing.T) {
 	c.ResetStats()
 	if c.Hits() != 0 || c.Misses() != 0 {
 		t.Error("ResetStats did not zero counters")
+	}
+	c.Insert(idA, 60) // resize in place
+	if c.Bytes() != 60 || c.Len() != 1 {
+		t.Errorf("Bytes=%d Len=%d after resize, want 60/1", c.Bytes(), c.Len())
+	}
+	if !c.Remove(idA) || c.Remove(idA) {
+		t.Error("Remove semantics wrong")
+	}
+	if c.Bytes() != 0 || c.Len() != 0 {
+		t.Error("residue after Remove")
+	}
+}
+
+// Touch promotes like Lookup but leaves the hit/miss counters alone: the
+// mapping model promotes on every request it sees served, which is not a
+// cache lookup.
+func TestIDLRUTouchPromotesWithoutCounting(t *testing.T) {
+	c := NewIDLRU(1000)
+	c.Insert(idA, 1)
+	c.Insert(idB, 1)
+	c.Insert(idC, 1)
+	c.Touch(idA)
+	c.Touch(99) // absent: no-op
+	got := c.IDs()
+	want := []core.TargetID{idA, idC, idB}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("IDs() = %v, want %v", got, want)
+	}
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Errorf("Touch counted hits=%d misses=%d, want 0/0", c.Hits(), c.Misses())
 	}
 }
 
@@ -52,27 +95,39 @@ func TestIDLRUOversizeTargetNotCached(t *testing.T) {
 }
 
 func TestIDLRUPanicsOnNoTarget(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Lookup(NoTarget) did not panic")
-		}
-	}()
-	NewIDLRU(100).Lookup(core.NoTarget)
+	for name, op := range map[string]func(*IDLRU){
+		"Lookup": func(c *IDLRU) { c.Lookup(core.NoTarget) },
+		"Insert": func(c *IDLRU) { c.Insert(core.NoTarget, 1) },
+		"Touch":  func(c *IDLRU) { c.Touch(core.NoTarget) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NoTarget) did not panic", name)
+				}
+			}()
+			op(NewIDLRU(100))
+		}()
+	}
 }
 
 // Property: IDLRU behaves exactly like the string-keyed LRU for any
-// lookup/insert/remove mix — same membership, bytes, count, hit/miss
+// lookup/insert/remove/touch mix — same membership, bytes, count, hit/miss
 // counters, and most-to-least-recent order. The simulator swaps one for the
-// other on this equivalence.
+// other on this equivalence, and the dispatcher's mapping model (which
+// promotes with Touch) inherits it.
 func TestIDLRUMatchesLRU(t *testing.T) {
 	const capacity = 1000
 	f := func(ops []uint16) bool {
 		idc := NewIDLRU(capacity)
 		ref := NewLRU(capacity)
+		var touched int64
 		for _, op := range ops {
-			id := core.TargetID(op%50) + 1
-			size := int64(op%300) + 1
-			switch op % 3 {
+			// The low two bits pick the operation and the rest pick the
+			// target and size, so every operation reaches every target.
+			id := core.TargetID(op/4%50) + 1
+			size := int64(op/4%300) + 1
+			switch op % 4 {
 			case 0:
 				idc.Insert(id, size)
 				ref.Insert(refTarget(id), size)
@@ -84,11 +139,19 @@ func TestIDLRUMatchesLRU(t *testing.T) {
 				if idc.Remove(id) != ref.Remove(refTarget(id)) {
 					return false
 				}
+			case 3:
+				// The reference promotes through a counted Lookup;
+				// touched tracks the hits Touch leaves uncounted.
+				idc.Touch(id)
+				if ref.Contains(refTarget(id)) {
+					ref.Lookup(refTarget(id))
+					touched++
+				}
 			}
 			if idc.Bytes() != ref.Bytes() || idc.Len() != ref.Len() {
 				return false
 			}
-			if idc.Hits() != ref.Hits() || idc.Misses() != ref.Misses() {
+			if idc.Hits()+touched != ref.Hits() || idc.Misses() != ref.Misses() {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"phttp/internal/core"
@@ -84,32 +85,66 @@ func TestIDLRUCompactShrinksPositionTable(t *testing.T) {
 	}
 }
 
-// TestShardedLRURefcountsUnderChurn checks the same pin protocol on the
-// concurrent mapping cache: after heavy insert/evict churn against a small
-// budget, the interner's live reference count equals the cache population —
-// nothing leaked, nothing double-released.
-func TestShardedLRURefcountsUnderChurn(t *testing.T) {
-	in := core.NewEvictableInterner(64)
-	c := NewShardedLRU(32<<10, 4)
-	c.SetRefCounter(in)
-	for i := 0; i < 4096; i++ {
-		tgt := core.Target(fmt.Sprintf("/t%d", i%300))
-		id := in.Intern(tgt)
-		c.Insert(id, 1<<10) // 32 resident entries at steady state
-		in.Release(id)
-		if i%7 == 0 {
-			c.Remove(id)
-		}
-		if i%500 == 499 {
-			in.Compact()
+// TestMappingRefcountsUnderChurn checks the same pin protocol on the
+// dispatcher's mapping: parallel dispatchers interning, mapping onto
+// several nodes, unmapping and dropping nodes against small budgets while
+// the interner compacts. At quiescence the interner's live reference count
+// equals the mapped entries summed over nodes — nothing leaked, nothing
+// double-released — and the table is back within its cap.
+func TestMappingRefcountsUnderChurn(t *testing.T) {
+	const (
+		nodes      = 3
+		goroutines = 4
+		cap        = 256
+	)
+	in := core.NewEvictableInterner(cap)
+	m := NewMapping(nodes, 32<<10) // 32 resident entries per node
+	m.SetRefCounter(in)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4096; i++ {
+				id := in.Intern(core.Target(fmt.Sprintf("/t%d", (i*7+g*13)%300)))
+				n := core.NodeID((i + g) % nodes)
+				m.Map(id, 1<<10, n)
+				if i%3 == 0 {
+					m.Map(id, 1<<10, (n+1)%nodes) // replicate
+				}
+				if i%7 == 0 {
+					m.Unmap(id, n)
+				}
+				in.Release(id) // drop the parse hold
+				if i%1000 == 999 {
+					m.DropNode(n)
+				}
+				if g == 0 && i%500 == 499 {
+					in.Compact()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	// Each mapped entry holds one reference, so a target's refs are the
+	// nodes mapping it, and the live IDs are exactly the mapped targets.
+	perID := map[core.TargetID]int{}
+	for n := core.NodeID(0); n < nodes; n++ {
+		for _, id := range m.perNode[n].IDs() {
+			perID[id]++
 		}
 	}
-	live := in.Len() - in.Limbo()
-	if live != c.Len() {
-		t.Errorf("%d live interner refs vs %d cached entries (leak or double release)", live, c.Len())
+	for id, want := range perID {
+		if got := in.Refs(id); got != want {
+			t.Errorf("target %d: %d interner refs vs %d mapped entries (leak or double release)", id, got, want)
+		}
+	}
+	if live := in.Len() - in.Limbo(); live != len(perID) {
+		t.Errorf("%d live interner IDs vs %d mapped targets (leaked refs)", live, len(perID))
 	}
 	in.Compact()
-	if got := in.Len(); got > 64 {
-		t.Errorf("interner table %d exceeds cap 64 under cache churn", got)
+	if got := in.Len(); got > cap {
+		t.Errorf("interner table %d exceeds cap %d under mapping churn", got, cap)
 	}
 }

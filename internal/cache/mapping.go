@@ -1,6 +1,10 @@
 package cache
 
-import "phttp/internal/core"
+import (
+	"sync"
+
+	"phttp/internal/core"
+)
 
 // Mapping is the front-end dispatcher's model of which back-end nodes
 // currently cache each target: the paper's "mappings between targets and
@@ -15,14 +19,14 @@ import "phttp/internal/core"
 // Targets are identified by interned TargetID throughout — the policies sit
 // on the per-event path of both the simulator and the prototype front-end,
 // and an ID comparison is the difference between an array probe and a
-// string hash per mapping touch. Each per-node model is a ShardedLRU
-// striped by ID hash, so the mapping is safe for parallel dispatchers
-// without a global lock: concurrent lookups and updates of different
-// targets touch different stripes, while eviction stays exact global LRU
-// per node (identical to the single-lock model the simulator's determinism
-// depends on).
+// string hash per mapping touch. Each per-node model is an IDLRU, the same
+// exact-LRU cache the simulator's node caches run on. One mutex serializes
+// every call, so the mapping is safe for parallel dispatchers, and
+// AppendNodesFor reads all nodes as one consistent snapshot. Each call holds
+// the lock for a few slice probes, far less than the rest of a dispatch.
 type Mapping struct {
-	perNode []*ShardedLRU
+	mu      sync.Mutex
+	perNode []*IDLRU
 
 	// obs, when set, observes every Map write (the belief "target is now
 	// cached at node"). The scale-out front-end tier's replicated state
@@ -34,11 +38,11 @@ type Mapping struct {
 }
 
 // NewMapping returns a mapping model for n nodes, each modeled as an LRU of
-// cacheBytes capacity striped over DefaultShards locks.
+// cacheBytes capacity.
 func NewMapping(n int, cacheBytes int64) *Mapping {
-	m := &Mapping{perNode: make([]*ShardedLRU, n)}
+	m := &Mapping{perNode: make([]*IDLRU, n)}
 	for i := range m.perNode {
-		m.perNode[i] = NewShardedLRU(cacheBytes, DefaultShards)
+		m.perNode[i] = NewIDLRU(cacheBytes)
 	}
 	return m
 }
@@ -46,7 +50,9 @@ func NewMapping(n int, cacheBytes int64) *Mapping {
 // SetRefCounter wires the target-lifecycle hook into every per-node model:
 // a target acquires one reference per node believed to cache it and
 // releases it when the mapping ages out, so an evictable interner never
-// recycles an ID the dispatcher still has beliefs about. Set it before
+// recycles an ID the dispatcher still has beliefs about. The calls run
+// under the mapping's lock; the interner takes its own lock and never
+// calls back into the mapping, so the ordering is acyclic. Set it before
 // traffic (the dispatch engine does, right after building the policy).
 func (m *Mapping) SetRefCounter(rc core.RefCounter) {
 	for _, lru := range m.perNode {
@@ -60,13 +66,16 @@ func (m *Mapping) Nodes() int { return len(m.perNode) }
 // IsMapped reports whether target is believed cached at node n, without
 // promoting it.
 func (m *Mapping) IsMapped(id core.TargetID, n core.NodeID) bool {
-	return m.perNode[n].Contains(id)
+	m.mu.Lock()
+	ok := m.perNode[n].Contains(id)
+	m.mu.Unlock()
+	return ok
 }
 
 // Map records that node n fetched (and now caches) target of the given
 // size, promoting it and aging out colder mappings under n's budget.
 func (m *Mapping) Map(id core.TargetID, size int64, n core.NodeID) {
-	m.perNode[n].Insert(id, size)
+	m.ApplySynced(id, size, n)
 	if m.obs != nil {
 		m.obs(id, size, n)
 	}
@@ -84,18 +93,24 @@ func (m *Mapping) SetWriteObserver(obs func(id core.TargetID, size int64, n core
 // observer (the origin already journaled it; re-journaling here would
 // gossip every belief back and forth forever).
 func (m *Mapping) ApplySynced(id core.TargetID, size int64, n core.NodeID) {
+	m.mu.Lock()
 	m.perNode[n].Insert(id, size)
+	m.mu.Unlock()
 }
 
 // Touch promotes target in n's model if mapped (the front-end saw another
 // request for it served there).
 func (m *Mapping) Touch(id core.TargetID, n core.NodeID) {
+	m.mu.Lock()
 	m.perNode[n].Touch(id)
+	m.mu.Unlock()
 }
 
 // Unmap removes the belief that node n caches target.
 func (m *Mapping) Unmap(id core.TargetID, n core.NodeID) {
+	m.mu.Lock()
 	m.perNode[n].Remove(id)
+	m.mu.Unlock()
 }
 
 // NodesFor returns every node believed to cache target, in node order. It
@@ -109,11 +124,13 @@ func (m *Mapping) NodesFor(id core.TargetID) []core.NodeID {
 // lock-guarded scratch buffer, truncated by the caller, so the per-request
 // path allocates nothing.
 func (m *Mapping) AppendNodesFor(buf []core.NodeID, id core.TargetID) []core.NodeID {
+	m.mu.Lock()
 	for i, lru := range m.perNode {
 		if lru.Contains(id) {
 			buf = append(buf, core.NodeID(i))
 		}
 	}
+	m.mu.Unlock()
 	return buf
 }
 
@@ -124,11 +141,21 @@ func (m *Mapping) AppendNodesFor(buf []core.NodeID, id core.TargetID) []core.Nod
 // rejoins. (Warm-up handling — a drained node that kept its cache —
 // simply skips this call.)
 func (m *Mapping) DropNode(n core.NodeID) {
+	m.mu.Lock()
 	m.perNode[n].Clear()
+	m.mu.Unlock()
 }
 
 // MappedBytes returns the bytes of content believed cached at node n.
-func (m *Mapping) MappedBytes(n core.NodeID) int64 { return m.perNode[n].Bytes() }
+func (m *Mapping) MappedBytes(n core.NodeID) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.perNode[n].Bytes()
+}
 
 // MappedTargets returns the number of targets believed cached at node n.
-func (m *Mapping) MappedTargets(n core.NodeID) int { return m.perNode[n].Len() }
+func (m *Mapping) MappedTargets(n core.NodeID) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.perNode[n].Len()
+}

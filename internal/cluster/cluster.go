@@ -31,11 +31,8 @@ type Config struct {
 	// MaxTargets caps the front-end's target interner (see
 	// FrontEndConfig.MaxTargets); 0 pins every target.
 	MaxTargets int
-	// InternStripes overrides the capped interner's shard count (see
-	// FrontEndConfig.InternStripes); 0 picks the size-based default.
-	InternStripes int
-	Disk          server.DiskParams
-	Costs         server.Costs
+	Disk       server.DiskParams
+	Costs      server.Costs
 
 	// SimulateCPU applies the Apache/Flash CPU cost model at back-ends.
 	SimulateCPU bool
@@ -169,7 +166,6 @@ func Start(cfg Config) (*Cluster, error) {
 			Params:           cfg.Params,
 			CacheBytes:       cfg.CacheBytes,
 			MaxTargets:       cfg.MaxTargets,
-			InternStripes:    cfg.InternStripes,
 			IdleTimeout:      cfg.IdleTimeout,
 			BatchWindow:      cfg.BatchWindow,
 			MaintainInterval: cfg.MaintainInterval,

@@ -53,11 +53,6 @@ type FrontEndConfig struct {
 	// keeps the pinned interner, which is right for benchmark runs and
 	// trace replay.
 	MaxTargets int
-	// InternStripes overrides the capped interner's shard count (0 = the
-	// size-based default; see dispatch.Spec.InternStripes). Parallel
-	// connection handlers intern at parse time, so stripes bound how much
-	// of that path serializes on shared locks.
-	InternStripes int
 	// MaintainInterval bounds maintenance staleness by wall clock. The
 	// dispatch engine compacts its evictable interner every
 	// Spec.MaintainEvery connection closes — which never fires on an idle
@@ -237,14 +232,13 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 		return nil, err
 	}
 	spec := dispatch.Spec{
-		Policy:        cfg.Policy,
-		Nodes:         cfg.Nodes,
-		Options:       cfg.PolicyOptions,
-		CacheBytes:    cfg.CacheBytes,
-		Params:        cfg.Params,
-		Mechanism:     cfg.Mechanism,
-		MaxTargets:    cfg.MaxTargets,
-		InternStripes: cfg.InternStripes,
+		Policy:     cfg.Policy,
+		Nodes:      cfg.Nodes,
+		Options:    cfg.PolicyOptions,
+		CacheBytes: cfg.CacheBytes,
+		Params:     cfg.Params,
+		Mechanism:  cfg.Mechanism,
+		MaxTargets: cfg.MaxTargets,
 	}
 	var eng *dispatch.Engine
 	var tier *peerTier

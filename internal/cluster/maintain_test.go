@@ -28,6 +28,10 @@ func TestIdleFrontEndMaintainTicker(t *testing.T) {
 	const (
 		maxTargets = 128
 		uniqueURLs = 600
+		// tick is the ticker period. The burst must be answered and
+		// checked before the first tick; under a loaded test run the 600
+		// responses have taken over a second, so the margin is wide.
+		tick = 5 * time.Second
 	)
 	catalog := make(map[core.Target]int64, uniqueURLs)
 	targets := make([]core.Target, uniqueURLs)
@@ -48,7 +52,7 @@ func TestIdleFrontEndMaintainTicker(t *testing.T) {
 	// rides out a head split across TCP segments. The ticker interval
 	// leaves room to observe the bloated table before the first tick.
 	cfg.BatchWindow = 200 * time.Millisecond
-	cfg.MaintainInterval = time.Second
+	cfg.MaintainInterval = tick
 	cl, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,21 +86,28 @@ func TestIdleFrontEndMaintainTicker(t *testing.T) {
 	// All responses are in, so the batch was dispatched and its parse
 	// references released into limbo. Nothing has closed: the table must
 	// still be bloated past the cap (this is the bug scenario).
-	in := cl.FE.Engine().Interner()
+	eng := cl.FE.Engine()
+	in := eng.Interner()
+	if n := eng.Maintains(); n != 0 {
+		t.Fatalf("the ticker already ran %d maintenance passes before the overflow check; the burst took longer than the %v tick", n, tick)
+	}
 	if got := in.Len(); got <= maxTargets {
 		t.Fatalf("burst did not overflow the interner (len %d, cap %d); the scenario needs simultaneous in-flight references", got, maxTargets)
 	}
-	if closes := cl.FE.Engine().Closes(); closes != 0 {
+	if closes := eng.Closes(); closes != 0 {
 		t.Fatalf("unexpected connection closes (%d); close-driven maintenance would mask the ticker", closes)
 	}
 
 	// The connection stays open and idle. Only the wall-clock ticker can
 	// compact now.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(tick + 10*time.Second)
 	for time.Now().Before(deadline) {
 		if in.Len() <= maxTargets {
 			if limbo := in.Limbo(); limbo > maxTargets {
 				t.Errorf("limbo %d exceeds cap %d after compaction", limbo, maxTargets)
+			}
+			if closes := eng.Closes(); closes != 0 || eng.Maintains() == 0 {
+				t.Errorf("compaction not by the ticker alone: %d closes, %d maintenance passes", closes, eng.Maintains())
 			}
 			return
 		}

@@ -64,10 +64,13 @@ type remoteKey struct {
 }
 
 // remoteConn is the owner-side state of a peer's connection: the policy's
-// connection state plus the interner reference pinned for its lifetime.
+// connection state plus the interner reference pinned for its lifetime,
+// and the inbound session that opened it, which releases it if the
+// session ends before the origin's PCLOSE arrives.
 type remoteConn struct {
-	cs *core.ConnState
-	id core.TargetID
+	cs   *core.ConnState
+	id   core.TargetID
+	from net.Conn
 }
 
 // peerLink is one outbound connection to a tier peer. RPCs serialize on
@@ -340,9 +343,10 @@ func (t *peerTier) ConnClose(c *core.ConnState) {
 		return
 	}
 	if !t.send(owner, fmt.Sprintf("PCLOSE %d %d\n", t.fe, c.ID)) {
-		// Owner unreachable: its replica keeps the connection charged
-		// until the link (or the owner) restarts; nothing to release
-		// locally — we never charged this connection here.
+		// Owner unreachable: the link is down for good, and the owner
+		// released every connection of ours when our session with it
+		// ended; nothing to release locally — we never charged this
+		// connection here.
 		t.fallbacks.Add(1)
 	}
 	c.Handling = core.NoNode
@@ -521,14 +525,24 @@ func (t *peerTier) acceptLoop() {
 	}
 }
 
-// servePeer runs one inbound peer session: HELLO, then a line loop over
-// the sharded RPCs and replication messages.
+// servePeer runs one inbound peer session: HELLO naming the origin
+// front-end, then a line loop over the sharded RPCs and replication
+// messages. Connection-state transactions must name that origin; one that
+// names another drops the session. When the session ends, every
+// connection it opened here is closed: the origin's link never redials,
+// so no later PCLOSE for them can arrive.
 func (t *peerTier) servePeer(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	hello, err := br.ReadString('\n')
-	if err != nil || !strings.HasPrefix(hello, "HELLO PEER ") {
+	if err != nil {
 		return
 	}
+	origin, ok := t.parseHello(hello)
+	if !ok {
+		return
+	}
+	defer t.releaseSession(conn)
+	originField := strconv.Itoa(origin)
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil {
@@ -539,8 +553,14 @@ func (t *peerTier) servePeer(conn net.Conn) {
 			continue
 		}
 		switch fields[0] {
+		case "POPEN", "PCLOSE", "PMOVE":
+			if len(fields) < 2 || fields[1] != originField {
+				return
+			}
+		}
+		switch fields[0] {
 		case "POPEN":
-			if reply, ok := t.handleOpen(fields[1:]); ok {
+			if reply, ok := t.handleOpen(conn, fields[1:]); ok {
 				if _, err := io.WriteString(conn, reply); err != nil {
 					return
 				}
@@ -561,10 +581,51 @@ func (t *peerTier) servePeer(conn net.Conn) {
 	}
 }
 
+// parseHello validates a session's opening line, HELLO PEER <feid>, and
+// returns the origin front-end it names: a tier member other than us.
+func (t *peerTier) parseHello(line string) (int, bool) {
+	fields := strings.Fields(line)
+	if len(fields) != 3 || fields[0] != "HELLO" || fields[1] != "PEER" {
+		return 0, false
+	}
+	fe, err := strconv.Atoi(fields[2])
+	if err != nil || fe < 0 || fe >= len(t.peers) || fe == t.fe {
+		return 0, false
+	}
+	return fe, true
+}
+
+// releaseSession closes every connection the ended inbound session opened
+// on our shard, releasing its load and the target reference pinned at
+// open, as the PCLOSEs that can no longer arrive would have.
+func (t *peerTier) releaseSession(from net.Conn) {
+	var orphans []*remoteConn
+	t.rmu.Lock()
+	for k, rc := range t.remote {
+		if rc.from == from {
+			orphans = append(orphans, rc)
+			delete(t.remote, k)
+		}
+	}
+	t.rmu.Unlock()
+	for _, rc := range orphans {
+		t.closeRemote(rc)
+	}
+}
+
+// closeRemote closes one peer connection on our shard.
+func (t *peerTier) closeRemote(rc *remoteConn) {
+	t.pol.ConnClose(rc.cs)
+	if t.in.Evictable() {
+		t.in.Release(rc.id)
+	}
+}
+
 // handleOpen serves a peer's connection-open transaction on our shard:
 // intern the target, run the policy open on an owner-side connection
-// state, remember it for the later PCLOSE/PMOVE, reply with the decision.
-func (t *peerTier) handleOpen(args []string) (string, bool) {
+// state, remember it for the later PCLOSE/PMOVE (tagged with its session
+// from, which releases it if it ends first), reply with the decision.
+func (t *peerTier) handleOpen(from net.Conn, args []string) (string, bool) {
 	if len(args) != 4 {
 		return "", false
 	}
@@ -579,7 +640,7 @@ func (t *peerTier) handleOpen(args []string) (string, bool) {
 	cs.OwnerFE = int32(t.fe)
 	n := t.pol.ConnOpen(cs, core.Request{Target: core.Target(args[3]), ID: tid, Size: size})
 	t.rmu.Lock()
-	t.remote[remoteKey{fe: fe, id: core.ConnID(id)}] = &remoteConn{cs: cs, id: tid}
+	t.remote[remoteKey{fe: fe, id: core.ConnID(id)}] = &remoteConn{cs: cs, id: tid, from: from}
 	t.rmu.Unlock()
 	return fmt.Sprintf("PNODE %d\n", n), true
 }
@@ -602,10 +663,7 @@ func (t *peerTier) handleClose(args []string) {
 	if rc == nil {
 		return
 	}
-	t.pol.ConnClose(rc.cs)
-	if t.in.Evictable() {
-		t.in.Release(rc.id)
-	}
+	t.closeRemote(rc)
 }
 
 // handleMove transfers a peer connection's load unit between nodes.

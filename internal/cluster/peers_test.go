@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,6 +158,102 @@ func TestPeerTierShardedRPCs(t *testing.T) {
 	t0.ConnClose(rc2)
 }
 
+// TestPeerTierReleasesDepartedOrigin pins the owner-side cleanup: a
+// connection opened on the owner's shard by a peer stays charged only as
+// long as that peer's session. Once the origin closes, its link never
+// redials, so no PCLOSE can arrive; the owner must release the charge
+// and the interner reference itself when the session ends.
+func TestPeerTierReleasesDepartedOrigin(t *testing.T) {
+	const nodes = 2
+	t0, in0 := newTestPeerTier(t, 0, 2, nodes)
+	t1, _ := newTestPeerTier(t, 1, 2, nodes)
+	defer t1.Close()
+	if err := t0.connect([]string{"", t1.Addr()}); err != nil {
+		t.Fatalf("fe0 connect: %v", err)
+	}
+	var req core.Request
+	for i := 0; req.Target == ""; i++ {
+		tg := core.Target(fmt.Sprintf("/obj/%d", i))
+		if r := (core.Request{Target: tg, ID: in0.Intern(tg), Size: 4096}); t0.Owner(r.ID) == 1 {
+			req = r
+		}
+	}
+	ownerConns := func() int {
+		total := 0
+		for n := 0; n < nodes; n++ {
+			total += t1.pol.Loads().LocalConns(core.NodeID(n))
+		}
+		return total
+	}
+	for id := core.ConnID(1); id <= 3; id++ {
+		if t0.ConnOpen(core.NewConnState(id), req); ownerConns() != int(id) {
+			t.Fatalf("owner charges %d conns after %d remote opens", ownerConns(), id)
+		}
+	}
+	t0.Close()
+	waitFor(t, "the owner to release the departed origin's connections", func() bool {
+		return ownerConns() == 0
+	})
+	t1.rmu.Lock()
+	left := len(t1.remote)
+	t1.rmu.Unlock()
+	if left != 0 {
+		t.Errorf("%d remote connections still tracked after the origin left", left)
+	}
+}
+
+// TestPeerTierSessionValidation drives raw inbound sessions: a HELLO that
+// names no valid peer, or ourselves, is refused, and a transaction that
+// names another origin than the session's drops the session (releasing
+// what it opened).
+func TestPeerTierSessionValidation(t *testing.T) {
+	const nodes = 2
+	owner, _ := newTestPeerTier(t, 1, 3, nodes)
+	defer owner.Close()
+	dial := func(hello string) (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", owner.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := io.WriteString(conn, hello); err != nil {
+			t.Fatal(err)
+		}
+		return conn, bufio.NewReader(conn)
+	}
+	// closed reports whether the owner dropped the session: a probe open
+	// gets no PNODE reply.
+	closed := func(conn net.Conn, br *bufio.Reader, origin string) bool {
+		fmt.Fprintf(conn, "POPEN %s 99 10 /probe\n", origin)
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		_, err := br.ReadString('\n')
+		return err != nil
+	}
+	for _, hello := range []string{
+		"HELLO PEER\n", "HELLO PEER x\n", "HELLO PEER -1\n",
+		"HELLO PEER 3\n", "HELLO PEER 1\n", "HELLO PEER 0 extra\n",
+	} {
+		conn, br := dial(hello)
+		if !closed(conn, br, "0") {
+			t.Errorf("%q was accepted", strings.TrimSpace(hello))
+		}
+	}
+
+	conn, br := dial("HELLO PEER 0\n")
+	if closed(conn, br, "0") {
+		t.Fatal("valid session refused")
+	}
+	fmt.Fprintf(conn, "PCLOSE 2 99\n") // names another origin
+	waitFor(t, "the mismatched session to be dropped and released", func() bool {
+		owner.rmu.Lock()
+		defer owner.rmu.Unlock()
+		return len(owner.remote) == 0
+	})
+	if !closed(conn, br, "0") {
+		t.Error("session survived a transaction naming another origin")
+	}
+}
+
 // TestPeerTierRejectsBadReplicaInput feeds the replicated handlers lines
 // that parse but carry values no peer can legitimately send — non-finite
 // or negative loads, negative connection counts, negative sizes — and
@@ -231,7 +330,7 @@ func TestPeerTierRejectsBadReplicaInput(t *testing.T) {
 		case "PMAPD":
 			tier.handleMapDelta(args)
 		case "POPEN":
-			if _, ok := tier.handleOpen(args); ok {
+			if _, ok := tier.handleOpen(nil, args); ok {
 				t.Errorf("POPEN %s accepted", tc.line)
 			}
 		}

@@ -400,20 +400,12 @@ func (in *Interner) materializeLocked(st *internStripe) {
 
 // NewEvictableInterner returns an empty capped interner holding at most max
 // targets (see the type comment for the reference protocol). max must be
-// positive. The stripe count is chosen from the cap; use
-// NewEvictableInternerStripes to pin it.
+// positive. The stripe count is chosen from the cap.
 func NewEvictableInterner(max int) *Interner {
-	return NewEvictableInternerStripes(max, 0)
-}
-
-// NewEvictableInternerStripes is NewEvictableInterner with an explicit
-// stripe count (rounded up to a power of two, clamped so every stripe gets
-// a positive share of the cap). stripes ≤ 0 selects the automatic count.
-func NewEvictableInternerStripes(max, stripes int) *Interner {
 	if max <= 0 {
 		panic("core: evictable interner needs a positive target cap")
 	}
-	return newInterner(max, stripes)
+	return newInterner(max, 0)
 }
 
 // Evictable reports whether this interner recycles IDs (capped mode).

@@ -127,5 +127,5 @@ func TestEvictableInternerRejectsZeroCap(t *testing.T) {
 			t.Error("zero-cap evictable interner did not panic")
 		}
 	}()
-	NewEvictableInternerStripes(0, 4)
+	NewEvictableInterner(0)
 }

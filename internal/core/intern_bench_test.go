@@ -27,7 +27,7 @@ func BenchmarkInternerContention(b *testing.B) {
 	} {
 		b.Run(sc.name, func(b *testing.B) {
 			b.Run("hot-hits", func(b *testing.B) {
-				in := NewEvictableInternerStripes(cap, sc.stripes)
+				in := newInterner(cap, sc.stripes)
 				hot := make([]Target, hotSet)
 				for i := range hot {
 					hot[i] = Target(fmt.Sprintf("/hot%d", i))
@@ -45,7 +45,7 @@ func BenchmarkInternerContention(b *testing.B) {
 				})
 			})
 			b.Run("churn", func(b *testing.B) {
-				in := NewEvictableInternerStripes(cap, sc.stripes)
+				in := newInterner(cap, sc.stripes)
 				universe := make([]Target, 4*cap)
 				for i := range universe {
 					universe[i] = Target(fmt.Sprintf("/u%d", i))

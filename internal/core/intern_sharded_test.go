@@ -23,7 +23,7 @@ func TestInternerStripeSelection(t *testing.T) {
 		{2, 64, 2}, // clamped so every stripe has a positive budget
 	}
 	for _, tc := range cases {
-		in := NewEvictableInternerStripes(tc.max, tc.stripes)
+		in := newInterner(tc.max, tc.stripes)
 		if got := in.Stripes(); got != tc.want {
 			t.Errorf("cap %d stripes %d: got %d stripes, want %d", tc.max, tc.stripes, got, tc.want)
 		}
@@ -41,7 +41,7 @@ func TestInternerStripeSelection(t *testing.T) {
 // cap regardless of how the hash spread the targets.
 func TestShardedStripeBudgetsSumToCap(t *testing.T) {
 	const cap = 1000 // not divisible by 8: remainder spread over stripes
-	in := NewEvictableInternerStripes(cap, 8)
+	in := newInterner(cap, 8)
 	for i := 0; i < 8*cap; i++ {
 		in.Release(in.Intern(Target(fmt.Sprintf("/b%d", i))))
 	}
@@ -74,7 +74,7 @@ func TestShardedInternerChurnAgainstModel(t *testing.T) {
 		ops = 100_000
 	}
 	rng := rand.New(rand.NewSource(43))
-	in := NewEvictableInternerStripes(cap, stripes)
+	in := newInterner(cap, stripes)
 	if in.Stripes() != stripes {
 		t.Fatalf("built %d stripes, want %d", in.Stripes(), stripes)
 	}
@@ -205,7 +205,7 @@ func TestShardedInternerConcurrentChurn(t *testing.T) {
 		goroutines = 8
 		perG       = 15_000
 	)
-	in := NewEvictableInternerStripes(cap, stripes)
+	in := newInterner(cap, stripes)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)

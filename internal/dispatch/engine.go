@@ -15,8 +15,8 @@ import (
 // exposes the dispatch lifecycle to parallel callers.
 //
 // Concurrency contract: calls for *different* connections may run fully in
-// parallel — the underlying policy state (atomic load tracker, hash-sharded
-// mapping) needs no engine-level lock. Calls for a *single* connection
+// parallel — the underlying policy state (atomic load tracker, mapping
+// under its own short-held lock) needs no engine-level lock. Calls for a *single* connection
 // (ConnOpen → AssignBatch* → BatchDone? → ConnClose) must be issued in
 // order by one caller at a time, which both drivers do naturally: the
 // prototype front-end runs one goroutine per client connection, and the
@@ -124,7 +124,7 @@ func NewEngineWithStore(spec Spec, store dstate.Store) (*Engine, error) {
 	in := spec.Interner
 	if in == nil {
 		if spec.MaxTargets > 0 {
-			in = core.NewEvictableInternerStripes(spec.MaxTargets, spec.InternStripes)
+			in = core.NewEvictableInterner(spec.MaxTargets)
 		} else {
 			in = core.NewInterner()
 		}

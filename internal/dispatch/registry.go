@@ -312,11 +312,6 @@ type Spec struct {
 	// unbounded URL space. Zero keeps the pinned interner (simulation,
 	// trace replay, benchmarks).
 	MaxTargets int
-	// InternStripes overrides the evictable interner's shard count (a
-	// power of two; see core.NewEvictableInternerStripes). Zero picks the
-	// size-based default. Ignored when Interner is supplied or MaxTargets
-	// is zero.
-	InternStripes int
 	// MaintainEvery is how many connection closes separate two automatic
 	// compaction passes (interner + policy dense slices) when the interner
 	// is evictable; 0 means the engine default.

@@ -42,10 +42,7 @@ func BenchmarkReadRequestInternedParallel(b *testing.B) {
 	b.Run("pinned", func(b *testing.B) {
 		run(b, core.NewInterner())
 	})
-	b.Run("capped/stripes=1", func(b *testing.B) {
-		run(b, core.NewEvictableInternerStripes(4096, 1))
-	})
 	b.Run("capped/stripes=auto", func(b *testing.B) {
-		run(b, core.NewEvictableInternerStripes(4096, 0))
+		run(b, core.NewEvictableInterner(4096))
 	})
 }

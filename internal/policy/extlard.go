@@ -39,8 +39,8 @@ import (
 // is equivalent to LARD, as the paper notes.
 //
 // ExtLARD is safe for concurrent dispatch: the cost computation reads the
-// atomic load tracker and the hash-sharded mapping without any policy-wide
-// critical section, disk-queue reports land in atomic slots, and the
+// atomic load tracker and the mapping (each call one short lock) without
+// any policy-wide critical section, disk-queue reports land in atomic slots, and the
 // decision counters are atomic. Calls for a single connection must be
 // serialized by the caller (the dispatch engine's contract); racing
 // decisions across connections see slightly stale load/mapping state, which

@@ -3,6 +3,7 @@ package trace
 import (
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -45,6 +46,10 @@ func TestLoadOrGenerateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(ref.Conns, warm.PHTTP.Conns) {
 		t.Error("cached trace differs from a fresh Generate")
 	}
+	// warm's strings alias its file mapping, which a finalizer unmaps
+	// once the workload is unreachable: keep it reachable until the
+	// comparison above has read them (DESIGN.md §14.3).
+	runtime.KeepAlive(warm)
 }
 
 func TestLoadOrGenerateRegeneratesOnCorruption(t *testing.T) {
